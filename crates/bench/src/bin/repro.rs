@@ -109,6 +109,7 @@ fn print_bench_help() {
         "--digest-cache"
     );
     println!("  output: key=value throughput report (cycles/sec, jobs/sec, per-phase wall)");
+    println!("  plus the deterministic bound-proven replay counters (proven_*_cycles)");
     println!("  the JSON fields, their units and how CI consumes them are documented");
     println!("  in docs/BENCH_SCHEMA.md");
 }
@@ -662,6 +663,11 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     println!("bench.jobs_per_sec={jobs_per_sec:.1}");
     println!("bench.cycles_per_sec={cycles_per_sec:.0}");
     println!("bench.replay_cycle_corners_per_sec={replay_cycle_corners_per_sec:.0}");
+    println!("bench.proven_table_cycles={}", timing.proven_table_cycles);
+    println!(
+        "bench.proven_adaptive_cycles={}",
+        timing.proven_adaptive_cycles
+    );
 
     if write_json {
         let json = format!(
@@ -670,7 +676,8 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
              \"simulate_ms\": {:.3},\n  \"predecode_ms\": {:.3},\n  \"replay_ms\": {:.3},\n  \
              \"policy_replay_ms\": {:.3},\n  \"simulated_programs\": {},\n  \
              \"digest_cache_hits\": {},\n  \"jobs_per_sec\": {:.1},\n  \
-             \"cycles_per_sec\": {:.0},\n  \"replay_cycle_corners_per_sec\": {:.0}\n}}\n",
+             \"cycles_per_sec\": {:.0},\n  \"replay_cycle_corners_per_sec\": {:.0},\n  \
+             \"proven_table_cycles\": {},\n  \"proven_adaptive_cycles\": {}\n}}\n",
             config.seeds,
             config.corners,
             config.master_seed,
@@ -686,6 +693,8 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
             jobs_per_sec,
             cycles_per_sec,
             replay_cycle_corners_per_sec,
+            timing.proven_table_cycles,
+            timing.proven_adaptive_cycles,
         );
         std::fs::write(&out_path, json)
             .map_err(|error| format!("cannot write {out_path}: {error}"))?;

@@ -18,17 +18,21 @@
 //!    repeat sweeps skip this phase entirely.
 //! 2. **Replay** (`O(N)` corner-batched digest walks): the sweep is
 //!    sharded into `N` per-seed jobs. Each job walks its digest **once**,
-//!    RLE run-block by run-block — one pool decode and one set of
-//!    corner-invariant policy decisions per block, one batched dither
-//!    kernel per cycle — and evaluates every cycle against **all** `M`
-//!    corners at once through the vectorized [`CornerBank`] lanes. The
-//!    evaluated cycle stays in structure-of-arrays form end to end: the
-//!    shared delay/max lanes feed three lane-packed [`PolicyBank`]s
-//!    (static baseline, margin-guarded instruction-based and
-//!    execute-only) and all `M` online-learning adaptive controllers
+//!    cycle by cycle — one set of corner-invariant policy decisions and
+//!    one batched dither kernel per cycle (digests have 1.000 RLE runs per
+//!    cycle, so nothing is hoisted across cycles) — and evaluates every
+//!    cycle against **all** `M` corners at once through the vectorized
+//!    [`CornerBank`] lanes. The evaluated cycle stays in structure-of-arrays
+//!    form end to end: the shared delay/max lanes feed three lane-packed
+//!    [`PolicyBank`]s (static baseline, margin-guarded instruction-based
+//!    and execute-only) and all `M` online-learning adaptive controllers
 //!    folded through one SoA [`AdaptiveBank`] — with no pipeline
 //!    simulator, no per-corner `CycleTiming` structs and no per-corner
-//!    scalar state in the loop.
+//!    scalar state in the loop. Before the walk, each unique pool entry's
+//!    worst-case delay over the quantized dither levels is bounded once;
+//!    cycles the bound proves safe skip the delay lanes and violation
+//!    folds (the *bound-proven* path of `replay_seed_banked`), with every
+//!    precondition checked and the exact walk as the fallback.
 //!
 //! The banked replay is bit-identical to the retained lane-by-lane path
 //! ([`pvt_sweep_lanewise`], which replays each `(digest, corner)` pair
@@ -47,18 +51,18 @@
 use idca_core::{
     policy::{ExecuteOnly, InstructionBased, StaticClock},
     AdaptiveBank, AdaptiveConfig, AdaptiveObserver, ClockGenerator, ClockPolicy, DelayLut, Drift,
-    PolicyBank, PolicyObserver,
+    PolicyBank, PolicyObserver, ProvenWalk,
 };
 use idca_gen::{generate_program, nth_seed, GenConfig};
-use idca_isa::Program;
+use idca_isa::{Program, TimingClass};
 use idca_pipeline::{
     CycleObserver, CycleRecord, DigestObserver, InterruptPlan, InterruptSpec, IrqPhase,
-    PipelineError, PredecodedProgram, SimBuffers, SimConfig, Simulator, TimingDigest,
+    PipelineError, PredecodedProgram, SimBuffers, SimConfig, Simulator, Stage, TimingDigest,
     SIMULATOR_VERSION,
 };
 use idca_timing::{
-    surged, CornerBank, FaultPlan, FaultSpec, IrqTimeline, ProfileKind, Ps, PvtCorner, TimingModel,
-    VariationModel,
+    surged, worst_stage_excitations, CornerBank, FaultPlan, FaultSpec, IrqTimeline, ProfileKind,
+    Ps, PvtCorner, TimingModel, VariationModel, LANE_WIDTH,
 };
 use idca_workloads::suite::par_map;
 use std::cell::RefCell;
@@ -376,17 +380,18 @@ impl SweepReport {
             .sum()
     }
 
-    /// Total interrupt entries across all jobs. Like [`total_cycles`]
-    /// (`Self::total_cycles`), every corner of a seed repeats the seed's
-    /// (corner-invariant) count, so this scales with the job count.
+    /// Total interrupt entries across all jobs. Like
+    /// [`total_cycles`](Self::total_cycles), every corner of a seed repeats
+    /// the seed's (corner-invariant) count, so this scales with the job
+    /// count.
     #[must_use]
     pub fn irq_entries(&self) -> u64 {
         self.jobs.iter().map(|j| j.irq_entries).sum()
     }
 
     /// Total cycles spent in exception entry or handler code across all
-    /// jobs (same per-job accounting convention as [`irq_entries`]
-    /// (`Self::irq_entries`)).
+    /// jobs (same per-job accounting convention as
+    /// [`irq_entries`](Self::irq_entries)).
     #[must_use]
     pub fn irq_handler_cycles(&self) -> u64 {
         self.jobs.iter().map(|j| j.irq_handler_cycles).sum()
@@ -643,6 +648,17 @@ pub struct SweepTiming {
     pub simulated_programs: u32,
     /// Digests phase 1 loaded from the cache instead of simulating.
     pub digest_cache_hits: u32,
+    /// Cycles whose three table-driven policies (static, instruction-based,
+    /// execute-only) phase 2 replayed on the bound-proven path — no delay
+    /// lanes, no violation compares — summed over seeds (each cycle counts
+    /// once, not once per corner). Deterministic: independent of thread
+    /// count, sharding and cache state.
+    pub proven_table_cycles: u64,
+    /// Cycles whose adaptive controllers phase 2 replayed on the
+    /// bound-proven path (warm entries covering the cycle's worst-case
+    /// delay on every corner), summed over seeds. Deterministic like
+    /// `proven_table_cycles`.
+    pub proven_adaptive_cycles: u64,
 }
 
 impl SweepTiming {
@@ -960,10 +976,11 @@ fn replay_job(
 }
 
 /// Worker-local scratch of the corner-batched replay: the three SoA
-/// [`PolicyBank`]s, the SoA [`AdaptiveBank`] and the per-cycle lane
-/// buffers, allocated once per worker thread and reset (not reallocated)
-/// between jobs — mirroring the [`SimBuffers`] reuse of phase 1, so
-/// large-`M` sweeps don't pay `O(M)` lane allocations per seed.
+/// [`PolicyBank`]s, the SoA [`AdaptiveBank`], the per-cycle lane buffers
+/// and the per-seed delay-bound tables, allocated once per worker thread
+/// and reset (not reallocated) between jobs — mirroring the [`SimBuffers`]
+/// reuse of phase 1, so large-`M` sweeps don't pay `O(M)` lane allocations
+/// per seed.
 ///
 /// The scratch is keyed by the sweep's per-corner static periods and fault
 /// plan: within one sweep every job shares them, so the banks are rebuilt
@@ -976,10 +993,23 @@ struct ReplayScratch {
     faults: Option<FaultPlan>,
     /// Hoisted per-corner static-baseline requests (walk-constant).
     static_requests: Vec<Ps>,
+    /// Per-corner static violation thresholds (`realized + 1e-9`, the
+    /// bank's own compare), for proving pool entries.
+    static_thresholds: Vec<Ps>,
     bank_static: PolicyBank<'static>,
     bank_lut: PolicyBank<'static>,
     bank_exec: PolicyBank<'static>,
     adaptive: AdaptiveBank<'static>,
+    /// Per pool entry of the current seed: the corner-invariant worst-case
+    /// blended excitation of every stage.
+    worst: Vec<[f64; Stage::COUNT]>,
+    /// Per pool entry of the current seed: the realized instruction-based
+    /// and execute-only periods (corner-invariant, since every corner
+    /// deploys the same guarded LUT).
+    lut_realized: Vec<Ps>,
+    exec_realized: Vec<Ps>,
+    /// Bound-evaluation lane scratch (padded to the bank's lane width).
+    bound_lanes: Vec<Ps>,
 }
 
 impl ReplayScratch {
@@ -1006,17 +1036,26 @@ impl ReplayScratch {
         if let Some(plan) = faults {
             adaptive = adaptive.with_faults(*plan);
         }
+        let static_requests: Vec<Ps> = contexts
+            .iter()
+            .map(|ctx| ctx.static_policy.period())
+            .collect();
         ReplayScratch {
             static_periods,
             faults: faults.copied(),
-            static_requests: contexts
+            static_thresholds: static_requests
                 .iter()
-                .map(|ctx| ctx.static_policy.period())
+                .map(|&request| IDEAL_GENERATOR.realize(request) + 1e-9)
                 .collect(),
+            static_requests,
             bank_static: bank(SWEEP_POLICIES[0]),
             bank_lut: bank(SWEEP_POLICIES[1]),
             bank_exec: bank(SWEEP_POLICIES[2]),
             adaptive,
+            worst: Vec::new(),
+            lut_realized: Vec::new(),
+            exec_realized: Vec::new(),
+            bound_lanes: vec![0.0; corners.next_multiple_of(LANE_WIDTH)],
         }
     }
 
@@ -1032,12 +1071,79 @@ impl ReplayScratch {
                 .all(|(period, ctx)| *period == ctx.varied.static_period_ps())
     }
 
-    /// Clears all per-job accumulator state (bank lanes, learned tables).
+    /// Clears all per-job accumulator state (bank lanes, learned tables and
+    /// the adaptive bank's proof cache).
     fn reset(&mut self) {
         self.bank_static.reset();
         self.bank_lut.reset();
         self.bank_exec.reset();
         self.adaptive.reset(None);
+    }
+
+    /// Derives one seed's delay bound. Per unique pool entry: the
+    /// worst-case excitations (kept for the adaptive proof) and the
+    /// corner-invariant realized LUT periods. Per `(stage, class)` the seed
+    /// exercises: one [`CornerBank::delays_from_excitation`] pass at the
+    /// largest worst-case excitation of the entries carrying that class in
+    /// that stage, reduced to its largest lane and to whether every lane
+    /// fits its corner's static threshold. Returns whether those bounds
+    /// prove the static, instruction-based and execute-only policies
+    /// violation-free on every corner for **every** entry. The bank's delay
+    /// fold must be monotone ([`CornerBank::bound_is_monotone`]) for the
+    /// answer to mean anything; the caller checks that.
+    fn bound_seed(
+        &mut self,
+        digest: &TimingDigest,
+        contexts: &[CornerContext],
+        bank: &CornerBank,
+    ) -> bool {
+        let corners = contexts.len();
+        self.worst.clear();
+        self.lut_realized.clear();
+        self.exec_realized.clear();
+        let mut group_worst = [[f64::NEG_INFINITY; TimingClass::COUNT]; Stage::COUNT];
+        for dc in digest.pool() {
+            let worst = worst_stage_excitations(dc);
+            for stage in Stage::ALL {
+                let group = &mut group_worst[stage.index()][dc.classes[stage.index()].index()];
+                *group = group.max(worst[stage.index()]);
+            }
+            self.worst.push(worst);
+            // The table-driven requests ignore the cycle index.
+            self.lut_realized
+                .push(IDEAL_GENERATOR.realize(contexts[0].lut_policy.digest_period_ps(0, dc)));
+            self.exec_realized
+                .push(IDEAL_GENERATOR.realize(contexts[0].exec_only.digest_period_ps(0, dc)));
+        }
+        // Same compare as the banks: a lane violates when
+        // `realized + 1e-9 < actual`, and every actual is at most its
+        // group's bound lane.
+        let mut group_bound = [[0.0; TimingClass::COUNT]; Stage::COUNT];
+        for stage in Stage::ALL {
+            for class in TimingClass::ALL {
+                let excitation = group_worst[stage.index()][class.index()];
+                if excitation == f64::NEG_INFINITY {
+                    continue; // no entry carries this class in this stage
+                }
+                bank.delays_from_excitation(stage, class, excitation, &mut self.bound_lanes);
+                let lanes = &self.bound_lanes[..corners];
+                let fits_static = lanes
+                    .iter()
+                    .zip(&self.static_thresholds)
+                    .fold(true, |all, (&bound, &threshold)| all & (bound <= threshold));
+                if !fits_static {
+                    return false;
+                }
+                group_bound[stage.index()][class.index()] =
+                    lanes.iter().copied().fold(0.0, f64::max);
+            }
+        }
+        digest.pool().iter().enumerate().all(|(id, dc)| {
+            let threshold = (self.lut_realized[id] + 1e-9).min(self.exec_realized[id] + 1e-9);
+            Stage::ALL.iter().all(|&stage| {
+                group_bound[stage.index()][dc.classes[stage.index()].index()] <= threshold
+            })
+        })
     }
 }
 
@@ -1065,19 +1171,40 @@ fn with_replay_scratch<R>(
     })
 }
 
+/// Work counters of one seed's bound-proven replay (see
+/// [`SweepTiming::proven_table_cycles`] and
+/// [`SweepTiming::proven_adaptive_cycles`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct ProvenCycles {
+    table: u64,
+    adaptive: u64,
+}
+
 /// Phase 2 worker of the corner-batched engine: replays one seed's digest
-/// against **every** corner in a single walk. Each RLE run-block is decoded
-/// once; the table-driven policies' requests (constant across the block,
-/// and — because all corners deploy the same margin-guarded LUT —
-/// corner-invariant too) are decided once per block; each cycle's six stage
+/// against **every** corner in a single walk. Each cycle's six stage
 /// dithers come out of one batched hash kernel and are broadcast; the
 /// per-corner delay folds run through the [`CornerBank`]'s vectorized
 /// lanes; and **all** per-corner policy state lives in structure-of-arrays
 /// banks — the three table-driven policies' accumulators in
-/// [`PolicyBank`]s (one realize/threshold/penalty derivation per run-block,
-/// one contiguous compare-and-count per cycle) and the `M` adaptive
-/// controllers' learned tables in one [`AdaptiveBank`] — no per-corner
-/// scalar state walks the digest anymore.
+/// [`PolicyBank`]s (their requests are corner-invariant, decided once per
+/// cycle from the digest classes; the realize/threshold derivation only
+/// reruns when the request changes) and the `M` adaptive controllers'
+/// learned tables in one [`AdaptiveBank`].
+///
+/// **Bound-proven path.** When the walk is fault- and interrupt-free on a
+/// bank with a monotone delay fold, the seed's pool entries are bounded
+/// first ([`ReplayScratch::bound_seed`]): each entry's worst-case
+/// excitation over the eight dither levels, fed through the bank, gives
+/// per-corner delay bounds. If they prove every entry violation-free for
+/// the table-driven policies, those policies skip all lane work and fold
+/// only their realized periods ([`ProvenWalk`],
+/// [`PolicyBank::absorb_proven_per_corner`]). The adaptive bank skips
+/// every cycle its warm entries cover ([`AdaptiveBank::observe_proven`]);
+/// a cycle both proofs settle needs no dither hash and no delay lanes at
+/// all. Everything else — and every walk whose preconditions fail — takes
+/// the exact path, bit-identical either way (pinned by
+/// `crates/bench/tests/proven_replay_property.rs` and the unit tests
+/// below).
 ///
 /// The sweep keeps only violations and frequencies per row, so no
 /// switching activity is folded here — the lane-by-lane reference path
@@ -1093,56 +1220,78 @@ fn replay_seed_banked(
     faults: Option<&FaultPlan>,
     irq: Option<IrqScenario<'_>>,
     seed_index: u32,
-) -> Vec<SweepJobOutcome> {
+) -> (Vec<SweepJobOutcome>, ProvenCycles) {
     if contexts.is_empty() {
-        return Vec::new();
+        return (Vec::new(), ProvenCycles::default());
     }
     with_replay_scratch(contexts, faults, |scratch| {
         let mut evaluator = bank.evaluator();
+        // The bound covers the lanes as the bank evaluates them; fault
+        // factors and the entry surge scale them afterwards, so such walks
+        // stay exact.
+        let bounded = faults.is_none() && irq.is_none() && bank.bound_is_monotone();
+        let table_proven = bounded && scratch.bound_seed(digest, contexts, bank);
+        let adaptive_proof = bounded && scratch.adaptive.proof_ready(bank);
+        let mut lut_walk = ProvenWalk::default();
+        let mut exec_walk = ProvenWalk::default();
+        let mut proven = ProvenCycles::default();
         let mut cursor = irq.map(|scenario| scenario.timeline.cursor());
-        digest.for_each_run(|start, len, dc| {
-            // Stage classes are constant across a run-block and every
-            // corner deploys the same guarded LUT, so one decision serves
-            // the whole block across all corners; the banks hoist the
-            // realized period and violation threshold with it.
-            scratch
-                .bank_lut
-                .begin_block(contexts[0].lut_policy.digest_period_ps(start, dc));
-            scratch
-                .bank_exec
-                .begin_block(contexts[0].exec_only.digest_period_ps(start, dc));
-            scratch
-                .bank_static
-                .begin_block_per_corner(&scratch.static_requests);
-            for cycle in start..start + u64::from(len) {
-                // The evaluated cycle stays in structure-of-arrays form end
-                // to end: no per-corner `CycleTiming` structs are built on
-                // the hot path.
-                let entry = cursor
-                    .as_mut()
-                    .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
-                let lanes = evaluator.cycle_lanes(cycle, dc);
-                if let Some(plan) = faults {
-                    // The perturbation is the same pure
-                    // `(fault seed, cycle)` function the scalar paths
-                    // apply, so the lanes stay bit-identical to them.
-                    lanes.apply_fault(plan, cycle);
+        digest.for_each_cycle_id(|cycle, id, dc| {
+            let id = id as usize;
+            if table_proven {
+                lut_walk.observe(scratch.lut_realized[id]);
+                exec_walk.observe(scratch.exec_realized[id]);
+            }
+            let adaptive_proven = adaptive_proof
+                && scratch
+                    .adaptive
+                    .observe_proven(&dc.classes, &scratch.worst[id], bank);
+            proven.adaptive += u64::from(adaptive_proven);
+            if table_proven && adaptive_proven {
+                return;
+            }
+            // The evaluated cycle stays in structure-of-arrays form end to
+            // end: no per-corner `CycleTiming` structs are built on the hot
+            // path.
+            let entry = cursor
+                .as_mut()
+                .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            if let Some(plan) = faults {
+                // The perturbation is the same pure `(fault seed, cycle)`
+                // function the scalar paths apply, so the lanes stay
+                // bit-identical to them.
+                lanes.apply_fault(plan, cycle);
+            }
+            if entry {
+                // Faults first, then the entry surge — same canonical
+                // composition order as the scalar paths.
+                lanes.apply_surge(irq.expect("entry implies scenario").surge_factor);
+            }
+            let lanes = &*lanes;
+            if !table_proven {
+                scratch
+                    .bank_lut
+                    .begin_block(contexts[0].lut_policy.digest_period_ps(cycle, dc));
+                scratch
+                    .bank_exec
+                    .begin_block(contexts[0].exec_only.digest_period_ps(cycle, dc));
+                scratch
+                    .bank_static
+                    .begin_block_per_corner(&scratch.static_requests);
+                for policy_bank in [
+                    &mut scratch.bank_static,
+                    &mut scratch.bank_lut,
+                    &mut scratch.bank_exec,
+                ] {
+                    if entry {
+                        policy_bank.observe_actuals_entry(lanes.max_lanes());
+                    } else {
+                        policy_bank.observe_actuals(lanes.max_lanes());
+                    }
                 }
-                if entry {
-                    // Faults first, then the entry surge — same canonical
-                    // composition order as the scalar paths.
-                    lanes.apply_surge(irq.expect("entry implies scenario").surge_factor);
-                }
-                let lanes = &*lanes;
-                if entry {
-                    scratch.bank_static.observe_actuals_entry(lanes.max_lanes());
-                    scratch.bank_lut.observe_actuals_entry(lanes.max_lanes());
-                    scratch.bank_exec.observe_actuals_entry(lanes.max_lanes());
-                } else {
-                    scratch.bank_static.observe_actuals(lanes.max_lanes());
-                    scratch.bank_lut.observe_actuals(lanes.max_lanes());
-                    scratch.bank_exec.observe_actuals(lanes.max_lanes());
-                }
+            }
+            if !adaptive_proven {
                 scratch
                     .adaptive
                     .observe_cycle_lanes_phased(cycle, dc, lanes, entry);
@@ -1150,6 +1299,14 @@ fn replay_seed_banked(
         });
 
         let summary = digest.summary();
+        if table_proven {
+            scratch.bank_lut.absorb_proven_walk(&lut_walk);
+            scratch.bank_exec.absorb_proven_walk(&exec_walk);
+            scratch
+                .bank_static
+                .absorb_proven_per_corner(&scratch.static_requests, summary.cycles);
+            proven.table = summary.cycles;
+        }
         scratch.bank_static.finish(&summary);
         scratch.bank_lut.finish(&summary);
         scratch.bank_exec.finish(&summary);
@@ -1171,7 +1328,7 @@ fn replay_seed_banked(
             .zip(out_lut)
             .zip(out_exec)
             .zip(out_adaptive);
-        contexts
+        let rows = contexts
             .iter()
             .zip(stacks)
             .map(|(ctx, (((ob_s, ob_l), ob_e), adaptive))| SweepJobOutcome {
@@ -1187,7 +1344,8 @@ fn replay_seed_banked(
                     adaptive_outcome(adaptive),
                 ],
             })
-            .collect()
+            .collect();
+        (rows, proven)
     })
 }
 
@@ -1607,25 +1765,30 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
         })
         .collect();
     let positions: Vec<usize> = (0..seed_indices.len()).collect();
-    let timed_jobs: Vec<(Vec<SweepJobOutcome>, Duration)> = par_map(&positions, |&p| {
-        let job_start = Instant::now();
-        let irq = timelines[p].as_ref().map(|timeline| IrqScenario {
-            timeline,
-            surge_factor,
+    let timed_jobs: Vec<(Vec<SweepJobOutcome>, ProvenCycles, Duration)> =
+        par_map(&positions, |&p| {
+            let job_start = Instant::now();
+            let irq = timelines[p].as_ref().map(|timeline| IrqScenario {
+                timeline,
+                surge_factor,
+            });
+            let (rows, proven) = replay_seed_banked(
+                &digests[p].0,
+                &contexts,
+                &bank,
+                plan.as_ref(),
+                irq,
+                seed_indices[p],
+            );
+            (rows, proven, job_start.elapsed())
         });
-        let rows = replay_seed_banked(
-            &digests[p].0,
-            &contexts,
-            &bank,
-            plan.as_ref(),
-            irq,
-            seed_indices[p],
-        );
-        (rows, job_start.elapsed())
-    });
-    let policy_replay = timed_jobs.iter().map(|(_, d)| *d).sum();
-    let outcomes: Vec<SweepJobOutcome> =
-        timed_jobs.into_iter().flat_map(|(rows, _)| rows).collect();
+    let policy_replay = timed_jobs.iter().map(|(_, _, d)| *d).sum();
+    let proven_table_cycles = timed_jobs.iter().map(|(_, p, _)| p.table).sum();
+    let proven_adaptive_cycles = timed_jobs.iter().map(|(_, p, _)| p.adaptive).sum();
+    let outcomes: Vec<SweepJobOutcome> = timed_jobs
+        .into_iter()
+        .flat_map(|(rows, _, _)| rows)
+        .collect();
     let replay = start.elapsed();
 
     Ok((
@@ -1637,6 +1800,8 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
             policy_replay,
             simulated_programs: seed_indices.len() as u32 - digest_cache_hits,
             digest_cache_hits,
+            proven_table_cycles,
+            proven_adaptive_cycles,
         },
     ))
 }
@@ -1720,6 +1885,8 @@ pub fn pvt_sweep_lanewise_timed(
             policy_replay: Duration::ZERO,
             simulated_programs: config.seeds,
             digest_cache_hits: 0,
+            proven_table_cycles: 0,
+            proven_adaptive_cycles: 0,
         },
     ))
 }
@@ -1875,6 +2042,122 @@ mod tests {
             assert_eq!(banked, lanewise, "{seeds}x{corners}@{master_seed:#x}");
             assert_eq!(banked, direct, "{seeds}x{corners}@{master_seed:#x}");
             assert_eq!(banked.render(), direct.render());
+        }
+    }
+
+    /// Replays every seed of `config` through the production banked walk
+    /// and, as the independent oracle, through the scalar per-corner
+    /// [`replay_job`], after passing each corner's varied model through
+    /// `vary` (to build banks the proof must refuse). Returns, per seed,
+    /// the banked rows, their proven-cycle counters and the scalar rows.
+    fn replay_banked_and_scalar(
+        config: &SweepConfig,
+        vary: impl Fn(TimingModel) -> TimingModel,
+    ) -> Vec<(Vec<SweepJobOutcome>, ProvenCycles, Vec<SweepJobOutcome>)> {
+        let (nominal, guarded_lut, corner_samples) = sweep_setup(config);
+        let contexts: Vec<CornerContext> = corner_samples
+            .iter()
+            .map(|corner| {
+                let ctx = CornerContext::new(&nominal, &config.variation, corner, &guarded_lut);
+                let varied = vary(ctx.varied);
+                CornerContext {
+                    static_policy: StaticClock::of_model(&varied),
+                    varied,
+                    ..ctx
+                }
+            })
+            .collect();
+        let models: Vec<TimingModel> = contexts.iter().map(|ctx| ctx.varied.clone()).collect();
+        let bank = CornerBank::from_models(&models);
+        let simulator = Simulator::new(sim_config(config));
+        (0..config.seeds)
+            .map(|seed| {
+                let program =
+                    generate_program(nth_seed(config.master_seed, u64::from(seed)), &config.gen);
+                let (digest, _) = digest_program(&simulator, &program).expect("program runs");
+                let (rows, proven) =
+                    replay_seed_banked(&digest, &contexts, &bank, None, None, seed);
+                let scalar = contexts
+                    .iter()
+                    .map(|ctx| replay_job(&digest, ctx, None, None, seed))
+                    .collect();
+                (rows, proven, scalar)
+            })
+            .collect()
+    }
+
+    /// A copy of `model` whose adder execute delay *falls* with excitation
+    /// (negated spread): its delay fold is no longer monotone.
+    fn with_negative_spread(model: TimingModel) -> TimingModel {
+        let (stage, class) = (Stage::Execute, TimingClass::Add);
+        let profile = model.profile().with_path_group(
+            stage,
+            class,
+            model.worst_case_ps(stage, class),
+            -model.profile().spread(stage, class),
+        );
+        TimingModel::new(
+            profile,
+            model.library().clone(),
+            model.operating_point().voltage_mv,
+        )
+        .expect("same operating point")
+    }
+
+    #[test]
+    fn proven_replay_matches_the_scalar_oracle_and_skips_cycles() {
+        let config = SweepConfig {
+            seeds: 3,
+            corners: 5,
+            master_seed: 0xB0D,
+            ..SweepConfig::default()
+        };
+        for (rows, proven, scalar) in replay_banked_and_scalar(&config, |model| model) {
+            assert_eq!(rows, scalar);
+            // The guarded LUT covers every corner: the table-driven
+            // policies are proven on every cycle, and warm adaptive
+            // entries cover a share of them.
+            assert_eq!(proven.table, rows[0].cycles);
+            assert!(proven.adaptive > 0 && proven.adaptive < proven.table);
+        }
+    }
+
+    #[test]
+    fn negative_spread_bank_turns_the_proof_off_with_identical_rows() {
+        let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+        assert!(!CornerBank::from_models(&[with_negative_spread(nominal)]).bound_is_monotone());
+        let config = SweepConfig {
+            seeds: 2,
+            corners: 3,
+            master_seed: 0xB0D,
+            ..SweepConfig::default()
+        };
+        for (rows, proven, scalar) in replay_banked_and_scalar(&config, with_negative_spread) {
+            assert_eq!(rows, scalar);
+            assert_eq!(proven, ProvenCycles::default(), "the proof must be off");
+        }
+    }
+
+    #[test]
+    fn a_bound_that_fails_keeps_the_table_policies_exact() {
+        // Monotone corners that run far slower (0.60 V) than the guarded
+        // LUT assumes: the bound check itself must fail, and the violations
+        // a wrongly trusted bound would hide must appear.
+        let config = SweepConfig {
+            seeds: 2,
+            corners: 3,
+            master_seed: 0xB0D,
+            ..SweepConfig::default()
+        };
+        let slow = |model: TimingModel| {
+            TimingModel::new(model.profile().clone(), model.library().clone(), 600)
+                .expect("0.60 V is characterized")
+        };
+        for (rows, proven, scalar) in replay_banked_and_scalar(&config, slow) {
+            assert_eq!(rows, scalar);
+            assert_eq!(proven.table, 0, "the slow corners defeat the bound");
+            let violations: u64 = rows.iter().map(|row| row.policies[1].violations).sum();
+            assert!(violations > 0, "the slow corners violate the LUT");
         }
     }
 

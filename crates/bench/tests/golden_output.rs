@@ -642,6 +642,53 @@ fn corrupt_cache_entries_are_quarantined_with_a_structured_warning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `repro bench`'s bound-proven replay counters at the CI configuration
+/// (100 seeds x 8 corners, seed 7). They are deterministic work counters,
+/// so they are pinned exactly: a silently disabled skip (or a proof that
+/// suddenly covers more than it can) shows up here even when the timings
+/// cannot tell.
+const PROVEN_TABLE_CYCLES_100X8_SEED7: u64 = 68_618;
+const PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 38_702;
+
+#[test]
+fn bench_proven_counters_are_thread_invariant_and_pinned() {
+    let args = [
+        "bench",
+        "--seeds",
+        "100",
+        "--corners",
+        "8",
+        "--seed",
+        "7",
+        "--runs",
+        "1",
+    ];
+    let counter = |stdout: &str, key: &str| -> u64 {
+        stdout
+            .lines()
+            .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+            .unwrap_or_else(|| panic!("`repro bench` printed no {key}:\n{stdout}"))
+            .parse()
+            .expect("counter is an integer")
+    };
+    for threads in ["1", "4"] {
+        let stdout = repro_stdout(&args, threads);
+        // Every one of the 68,618 cycles is proven for the table-driven
+        // policies; 56.4 % are adaptive no-ops.
+        assert_eq!(
+            counter(&stdout, "bench.proven_table_cycles"),
+            PROVEN_TABLE_CYCLES_100X8_SEED7,
+            "RAYON_NUM_THREADS={threads}"
+        );
+        assert_eq!(
+            counter(&stdout, "bench.proven_adaptive_cycles"),
+            PROVEN_ADAPTIVE_CYCLES_100X8_SEED7,
+            "RAYON_NUM_THREADS={threads}"
+        );
+        assert_eq!(counter(&stdout, "bench.evaluated_cycles"), 68_618 * 8);
+    }
+}
+
 #[test]
 fn sweep_rejects_malformed_flags() {
     let run = |args: &[&str]| {

@@ -439,7 +439,13 @@ impl CycleObserver for AdaptiveObserver<'_> {
 /// Start of the lane vector of one `(stage, class)` learned-table entry in
 /// the [`AdaptiveBank`]'s structure-of-arrays tables.
 fn table_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
-    (stage.index() * TimingClass::COUNT + class.index()) * padded
+    entry_index(stage, class) * padded
+}
+
+/// Index of one `(stage, class)` entry in the [`AdaptiveBank`]'s per-entry
+/// scalar tables (observation counts, bound-proof cache).
+fn entry_index(stage: Stage, class: TimingClass) -> usize {
+    stage.index() * TimingClass::COUNT + class.index()
 }
 
 /// The corner-batched online-adaptive controller: the learned delay tables,
@@ -471,8 +477,22 @@ pub struct AdaptiveBank<'a> {
     /// `(stage.index() * TimingClass::COUNT + class.index()) * padded + lane`
     /// is corner `lane`'s running maximum of `observed × (1 + margin)`.
     learned: Vec<Ps>,
-    /// Observation counters, same layout as `learned`.
+    /// Observation counters, one per `(stage, class)` entry (index
+    /// `stage.index() * TimingClass::COUNT + class.index()`). Every observe
+    /// pass bumps a keyed entry on all lanes together and construction,
+    /// reset and seeding are lane-uniform too, so one count serves every
+    /// corner — and with it, warmth is a per-entry fact.
     observations: Vec<u64>,
+    /// Bound-proof cache, one scalar per `(stage, class)` entry (same
+    /// index as `observations`): the largest blended excitation `x` for
+    /// which `learned ≥ delays_from_excitation(x) × (1 + margin)` has been
+    /// verified on every lane (`-inf` = nothing verified). Learned values
+    /// only grow between violations, so a verified excitation stays covered
+    /// until a violation (whose capped backoff may shrink an entry) or a
+    /// reset clears the cache.
+    covered: Vec<f64>,
+    /// Scratch lanes (`padded` long) for extending `covered`.
+    bound: Vec<Ps>,
     faults: Option<FaultPlan>,
     total_time: Vec<f64>,
     penalty_time: Vec<f64>,
@@ -537,18 +557,15 @@ impl<'a> AdaptiveBank<'a> {
         let padded = corners.next_multiple_of(LANE_WIDTH);
         let table_len = Stage::COUNT * TimingClass::COUNT;
         let mut learned = vec![0.0; table_len * padded];
-        let mut observations = vec![0u64; table_len * padded];
+        let mut observations = vec![0u64; table_len];
         if let Some(lut) = seed_lut {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
                     let at = table_offset(padded, stage, class);
-                    let seeded = lut.delay_ps(stage, class);
-                    for lane in 0..corners {
-                        learned[at + lane] = seeded;
-                        observations[at + lane] = config.warmup_observations;
-                    }
+                    learned[at..at + corners].fill(lut.delay_ps(stage, class));
                 }
             }
+            observations.fill(config.warmup_observations);
         }
         // Padded copy of the backoff cap (`2 x` each corner's static
         // period, exactly the scalar expression hoisted out of the adapt
@@ -566,6 +583,8 @@ impl<'a> AdaptiveBank<'a> {
             static_period: static_periods,
             learned,
             observations,
+            covered: vec![f64::NEG_INFINITY; table_len],
+            bound: vec![0.0; padded],
             faults: None,
             total_time: vec![0.0; corners],
             penalty_time: vec![0.0; corners],
@@ -610,17 +629,15 @@ impl<'a> AdaptiveBank<'a> {
     pub fn reset(&mut self, seed_lut: Option<&DelayLut>) {
         self.learned.fill(0.0);
         self.observations.fill(0);
+        self.covered.fill(f64::NEG_INFINITY);
         if let Some(lut) = seed_lut {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
                     let at = table_offset(self.padded, stage, class);
-                    let seeded = lut.delay_ps(stage, class);
-                    for lane in 0..self.corners {
-                        self.learned[at + lane] = seeded;
-                        self.observations[at + lane] = self.config.warmup_observations;
-                    }
+                    self.learned[at..at + self.corners].fill(lut.delay_ps(stage, class));
                 }
             }
+            self.observations.fill(self.config.warmup_observations);
         }
         self.total_time.fill(0.0);
         self.penalty_time.fill(0.0);
@@ -647,16 +664,37 @@ impl<'a> AdaptiveBank<'a> {
 
     /// One corner's current learned table entry, in picoseconds — the
     /// banked counterpart of [`AdaptiveObserver::learned_ps`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corner >= self.corners()` (padding lanes are not
+    /// corners).
     #[must_use]
     pub fn learned_ps(&self, corner: usize, stage: Stage, class: TimingClass) -> Ps {
+        self.assert_corner(corner);
         self.learned[table_offset(self.padded, stage, class) + corner]
     }
 
     /// How many times one corner has observed a `(stage, class)` pair —
     /// the banked counterpart of [`AdaptiveObserver::observation_count`].
+    /// Every corner observes every cycle, so the count is the same for all
+    /// of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corner >= self.corners()`.
     #[must_use]
     pub fn observation_count(&self, corner: usize, stage: Stage, class: TimingClass) -> u64 {
-        self.observations[table_offset(self.padded, stage, class) + corner]
+        self.assert_corner(corner);
+        self.observations[entry_index(stage, class)]
+    }
+
+    fn assert_corner(&self, corner: usize) {
+        assert!(
+            corner < self.corners,
+            "corner {corner} is out of range for an adaptive bank of {} corners",
+            self.corners
+        );
     }
 
     /// Replays the predict/observe/update loop of **all** corners on one
@@ -701,19 +739,21 @@ impl<'a> AdaptiveBank<'a> {
         self.requested.fill(0.0);
         self.warm.fill(true);
         for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
+            let class = dc.classes[stage.index()];
+            let at = table_offset(padded, stage, class);
+            let warm =
+                self.observations[entry_index(stage, class)] >= self.config.warmup_observations;
             let lanes = self
                 .requested
                 .chunks_exact_mut(LANE_WIDTH)
                 .zip(self.warm.chunks_exact_mut(LANE_WIDTH))
-                .zip(self.learned[at..at + padded].chunks_exact(LANE_WIDTH))
-                .zip(self.observations[at..at + padded].chunks_exact(LANE_WIDTH));
-            for (((req4, warm4), learned4), obs4) in lanes {
+                .zip(self.learned[at..at + padded].chunks_exact(LANE_WIDTH));
+            for ((req4, warm4), learned4) in lanes {
                 for l in 0..LANE_WIDTH {
-                    if obs4[l] < self.config.warmup_observations {
-                        warm4[l] = false;
-                    } else {
+                    if warm {
                         req4[l] = req4[l].max(learned4[l]);
+                    } else {
+                        warm4[l] = false;
                     }
                 }
             }
@@ -749,16 +789,21 @@ impl<'a> AdaptiveBank<'a> {
             self.realized[lane] = realized;
             self.violated[lane] = violated;
         }
+        if self.violated.iter().any(|&violated| violated) {
+            // A violation may back an entry off (and the cap can shrink
+            // it), so no earlier bound proof can be trusted any more.
+            self.covered.fill(f64::NEG_INFINITY);
+        }
 
         // 3. Adapt the in-flight entries, again lane-contiguously per keyed
         //    `(stage, class)` entry.
         for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
+            let class = dc.classes[stage.index()];
+            let at = table_offset(padded, stage, class);
+            self.observations[entry_index(stage, class)] += 1;
             let learned = &mut self.learned[at..at + padded];
-            let observations = &mut self.observations[at..at + padded];
             for (lane, timing) in timings.iter().enumerate() {
                 let observed = timing.stage_delay_ps[stage.index()] * drift_factor;
-                observations[lane] += 1;
                 let target = observed * (1.0 + self.config.margin);
                 if target > learned[lane] {
                     learned[lane] = target;
@@ -815,40 +860,10 @@ impl<'a> AdaptiveBank<'a> {
         }
         let generator = self.generator;
 
-        // 1. Predict — identical to `observe_digest_timed`, exploiting a
-        //    structural invariant of the bank: every observe pass increments
-        //    the touched entry's observation count for all lanes together
-        //    (and construction/reset/seed-LUT initialization is equally
-        //    lane-uniform), so one entry's count is the same in every lane
-        //    and warmth is a per-entry scalar. The fold then touches only
-        //    `f64` lanes — no per-lane counter compares — and the warm flag
-        //    collapses to one bool per cycle.
-        self.requested.fill(0.0);
-        let warmup = self.config.warmup_observations;
-        let mut all_warm = true;
-        for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
-            if self.observations[at] >= warmup {
-                let learned = &self.learned[at..at + padded];
-                let requested = &mut self.requested[..padded];
-                // Comparison-select form of the scalar `f64::max` fold:
-                // learned periods are finite and non-negative (never NaN
-                // or -0.0), so the picked value is bit-identical — and the
-                // fixed-trip inner loop gives the vectorizer a compile-time
-                // width (a runtime trip of `padded` = 8 lanes stays scalar).
-                let chunks = requested
-                    .chunks_exact_mut(LANE_WIDTH)
-                    .zip(learned.chunks_exact(LANE_WIDTH));
-                for (req4, learned4) in chunks {
-                    for l in 0..LANE_WIDTH {
-                        let learned = learned4[l];
-                        req4[l] = if learned > req4[l] { learned } else { req4[l] };
-                    }
-                }
-            } else {
-                all_warm = false;
-            }
-        }
+        // 1. Predict — identical to `observe_digest_timed`; the observation
+        //    counts are per-entry scalars, so the fold touches only `f64`
+        //    lanes and the warm flag collapses to one bool per cycle.
+        let all_warm = self.predict_warm_lanes(&dc.classes);
 
         // 2. Realize and observe: the same arithmetic (and order of
         //    operations) as the scalar observer, over length-bound slices
@@ -877,6 +892,7 @@ impl<'a> AdaptiveBank<'a> {
         // Warmth is lane-uniform (see the predict pass), so the cold-lane
         // padding is one loop-invariant branch the compiler unswitches.
         let cold = !all_warm;
+        let mut any_violated = false;
         for lane in 0..corners {
             let padded_up = requested[lane].max(static_period[lane]);
             let request = if cold { padded_up } else { requested[lane] };
@@ -884,6 +900,7 @@ impl<'a> AdaptiveBank<'a> {
             let realized = generator.realize(request);
             let actual_max = actual_lanes[lane] * drift_factor;
             let violated = realized + 1e-9 < actual_max;
+            any_violated |= violated;
             violations[lane] += u64::from(violated);
             entry_violations[lane] += u64::from(violated && entry);
             if let Some((detect_factor, penalty_cycles, penalty)) = recovery {
@@ -902,6 +919,11 @@ impl<'a> AdaptiveBank<'a> {
             // non-violated case as `+inf` turns that into a single compare.
             violation_limit[lane] = if violated { realized } else { Ps::INFINITY };
         }
+        if any_violated {
+            // See `observe_digest_timed_phased`: a backoff can shrink an
+            // entry, so every bound proof is void.
+            self.covered.fill(f64::NEG_INFINITY);
+        }
 
         // 3. Adapt the in-flight entries, lane-contiguously per keyed
         //    `(stage, class)` entry against that stage's contiguous delay
@@ -909,12 +931,9 @@ impl<'a> AdaptiveBank<'a> {
         let margin_factor = 1.0 + self.config.margin;
         let backoff_factor = 1.0 + self.config.violation_backoff;
         for stage in Stage::ALL {
-            let at = table_offset(padded, stage, dc.classes[stage.index()]);
-            // Separate counter bump: keeps the learn loop pure-`f64` so it
-            // vectorizes without integer lanes mixed in.
-            for count in &mut self.observations[at..at + corners] {
-                *count += 1;
-            }
+            let class = dc.classes[stage.index()];
+            let at = table_offset(padded, stage, class);
+            self.observations[entry_index(stage, class)] += 1;
             // The learn fold runs over the full padded width in fixed-trip
             // chunks (compile-time trip count, packed compare-and-blend).
             // Padding lanes carry a 0 delay, a 0 cap and a `+inf` violation
@@ -949,6 +968,147 @@ impl<'a> AdaptiveBank<'a> {
                 }
             }
         }
+    }
+
+    /// The predict pass shared by the lanes kernel and the proven path:
+    /// folds the warm keyed entries' learned lanes into `requested` (from
+    /// 0) and returns whether all six keyed entries are warm.
+    #[inline]
+    fn predict_warm_lanes(&mut self, classes: &[TimingClass; Stage::COUNT]) -> bool {
+        let padded = self.padded;
+        self.requested.fill(0.0);
+        let mut all_warm = true;
+        for stage in Stage::ALL {
+            let class = classes[stage.index()];
+            if self.observations[entry_index(stage, class)] >= self.config.warmup_observations {
+                let at = table_offset(padded, stage, class);
+                let learned = &self.learned[at..at + padded];
+                let requested = &mut self.requested[..padded];
+                // Comparison-select form of the scalar `f64::max` fold:
+                // learned periods are finite and non-negative (never NaN
+                // or -0.0), so the picked value is bit-identical — and the
+                // fixed-trip inner loop gives the vectorizer a compile-time
+                // width (a runtime trip of `padded` = 8 lanes stays scalar).
+                let chunks = requested
+                    .chunks_exact_mut(LANE_WIDTH)
+                    .zip(learned.chunks_exact(LANE_WIDTH));
+                for (req4, learned4) in chunks {
+                    for l in 0..LANE_WIDTH {
+                        let learned = learned4[l];
+                        req4[l] = if learned > req4[l] { learned } else { req4[l] };
+                    }
+                }
+            } else {
+                all_warm = false;
+            }
+        }
+        all_warm
+    }
+
+    /// Whether the bound-proven path ([`AdaptiveBank::observe_proven`]) may
+    /// skip any cycle of a replay whose delays come from `bank`. Every
+    /// precondition of the proof is checked here:
+    ///
+    /// * no drift — a drift factor would scale the observed delays past a
+    ///   bound computed without it;
+    /// * the ideal clock generator — a quantizing generator may realize a
+    ///   period below the request;
+    /// * a non-negative margin — `learned ≥ bound × (1 + margin)` must
+    ///   imply `learned ≥ bound`;
+    /// * no fault plan — faults perturb the lanes past the bound;
+    /// * a bank of the same corner count whose delay fold is monotone
+    ///   ([`CornerBank::bound_is_monotone`]).
+    ///
+    /// The caller must additionally keep cycles whose lanes are perturbed
+    /// after evaluation (the interrupt-entry surge) on the exact path.
+    #[must_use]
+    pub fn proof_ready(&self, bank: &CornerBank) -> bool {
+        self.drift == Drift::None
+            && matches!(self.generator, ClockGenerator::Ideal)
+            && self.config.margin >= 0.0
+            && self.faults.is_none()
+            && bank.corners() == self.corners
+            && bank.bound_is_monotone()
+    }
+
+    /// Tries to replay one digested cycle on the **bound-proven** path:
+    /// when all six keyed `(stage, class)` entries are warm and cover the
+    /// cycle's worst-case excitations (`learned ≥ bound × (1 + margin)` on
+    /// every lane, with `bound` the
+    /// [`CornerBank::delays_from_excitation`] lanes at `worst`), the cycle
+    /// cannot violate on any corner and cannot grow any learned entry. Then
+    /// only its visible effects are folded — the predicted period into
+    /// each lane's realized-time sum (in cycle order, so the sums stay
+    /// bit-identical to the exact kernel) and the six counter bumps — and
+    /// the method returns `true`. Otherwise it leaves every accumulator,
+    /// counter and learned value untouched (it may only have extended the
+    /// proof cache) and returns `false`: the caller must evaluate the
+    /// cycle's lanes and run [`AdaptiveBank::observe_cycle_lanes_phased`].
+    ///
+    /// `worst` must be [`idca_timing::worst_stage_excitations`] of the
+    /// cycle's digest record. Always `false` unless
+    /// [`AdaptiveBank::proof_ready`] holds for `bank`.
+    pub fn observe_proven(
+        &mut self,
+        classes: &[TimingClass; Stage::COUNT],
+        worst: &[f64; Stage::COUNT],
+        bank: &CornerBank,
+    ) -> bool {
+        if self.corners == 0 || !self.proof_ready(bank) {
+            return false;
+        }
+        let warmup = self.config.warmup_observations;
+        for stage in Stage::ALL {
+            let class = classes[stage.index()];
+            if self.observations[entry_index(stage, class)] < warmup
+                || !self.covers(bank, stage, class, worst[stage.index()])
+            {
+                return false;
+            }
+        }
+        let all_warm = self.predict_warm_lanes(classes);
+        debug_assert!(all_warm, "warmth was checked above");
+        // The ideal generator realizes every request exactly, so the
+        // exact kernel's `total_time += realize(requested)` is this add.
+        let corners = self.corners;
+        for (total, &requested) in self.total_time[..corners]
+            .iter_mut()
+            .zip(&self.requested[..corners])
+        {
+            *total += requested;
+        }
+        for stage in Stage::ALL {
+            self.observations[entry_index(stage, classes[stage.index()])] += 1;
+        }
+        true
+    }
+
+    /// Whether the `(stage, class)` entry covers `excitation` on every
+    /// lane, extending the proof cache when a fresh check succeeds.
+    fn covers(
+        &mut self,
+        bank: &CornerBank,
+        stage: Stage,
+        class: TimingClass,
+        excitation: f64,
+    ) -> bool {
+        let index = entry_index(stage, class);
+        if excitation <= self.covered[index] {
+            return true;
+        }
+        bank.delays_from_excitation(stage, class, excitation, &mut self.bound);
+        let at = table_offset(self.padded, stage, class);
+        let margin_factor = 1.0 + self.config.margin;
+        let covered = self.learned[at..at + self.corners]
+            .iter()
+            .zip(&self.bound[..self.corners])
+            .fold(true, |all, (&learned, &bound)| {
+                all & (learned >= bound * margin_factor)
+            });
+        if covered {
+            self.covered[index] = excitation;
+        }
+        covered
     }
 
     /// Finalizes every corner's outcome from the run totals — the banked
@@ -1326,6 +1486,240 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Replays `digest` through `bank`, taking the bound-proven path on
+    /// every cycle [`AdaptiveBank::observe_proven`] accepts and the exact
+    /// lanes kernel otherwise; returns the number of proven cycles.
+    fn replay_with_proof(
+        bank: &mut AdaptiveBank<'_>,
+        corners: &CornerBank,
+        digest: &TimingDigest,
+    ) -> u64 {
+        let mut evaluator = corners.evaluator();
+        let mut proven = 0;
+        digest.for_each_cycle(|cycle, dc| {
+            let worst = idca_timing::worst_stage_excitations(dc);
+            if bank.observe_proven(&dc.classes, &worst, corners) {
+                proven += 1;
+            } else {
+                bank.observe_cycle_lanes(cycle, dc, evaluator.cycle_lanes(cycle, dc));
+            }
+        });
+        bank.finish(&digest.summary());
+        proven
+    }
+
+    fn assert_same_tables(a: &AdaptiveBank<'_>, b: &AdaptiveBank<'_>) {
+        for corner in 0..a.corners() {
+            for stage in Stage::ALL {
+                for class in TimingClass::ALL {
+                    assert_eq!(
+                        a.learned_ps(corner, stage, class).to_bits(),
+                        b.learned_ps(corner, stage, class).to_bits()
+                    );
+                    assert_eq!(
+                        a.observation_count(corner, stage, class),
+                        b.observation_count(corner, stage, class)
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn proven_path_is_bit_identical_to_the_exact_kernel() {
+        let digest = TimingDigest::from_trace(&long_trace());
+        let config = AdaptiveConfig::default();
+        for corners in [1usize, 3, 4, 5, 8] {
+            let models = varied_models(corners as u32, 0xB0D);
+            let corner_bank = CornerBank::from_models(&models);
+            let new_bank =
+                || AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
+            let mut proven_bank = new_bank();
+            assert!(proven_bank.proof_ready(&corner_bank));
+            let proven = replay_with_proof(&mut proven_bank, &corner_bank, &digest);
+            let mut exact_bank = new_bank();
+            let mut evaluator = corner_bank.evaluator();
+            digest.for_each_cycle(|cycle, dc| {
+                exact_bank.observe_cycle_lanes(cycle, dc, evaluator.cycle_lanes(cycle, dc));
+            });
+            exact_bank.finish(&digest.summary());
+            assert!(
+                proven > digest.cycles() / 2,
+                "corners {corners}: {proven} proven"
+            );
+            assert_same_tables(&proven_bank, &exact_bank);
+            assert_eq!(proven_bank.into_outcomes(), exact_bank.into_outcomes());
+        }
+    }
+
+    #[test]
+    fn proof_preconditions_fall_back_to_the_exact_path() {
+        let digest = TimingDigest::from_trace(&long_trace());
+        let models = varied_models(5, 0xB0D);
+        let corner_bank = CornerBank::from_models(&models);
+        let quantized = ClockGenerator::quantized_50ps();
+        let drift = Drift::LinearSlowdown {
+            fraction_per_kilocycle: 0.01,
+        };
+        let negative_margin = AdaptiveConfig {
+            margin: -0.01,
+            ..AdaptiveConfig::default()
+        };
+        let default = AdaptiveConfig::default();
+        let plan = FaultPlan::new(&idca_timing::FaultSpec::default());
+        // One corner whose adder execute delay falls with excitation.
+        let mut skewed = models.clone();
+        let (stage, class) = (Stage::Execute, TimingClass::Add);
+        let profile = skewed[2].profile().with_path_group(
+            stage,
+            class,
+            skewed[2].worst_case_ps(stage, class),
+            -skewed[2].profile().spread(stage, class),
+        );
+        skewed[2] = TimingModel::new(
+            profile,
+            skewed[2].library().clone(),
+            skewed[2].operating_point().voltage_mv,
+        )
+        .expect("same operating point");
+        let skewed_bank = CornerBank::from_models(&skewed);
+        let ideal = &ClockGenerator::Ideal;
+        let cases = [
+            ("drift", default, ideal, drift, None, &corner_bank),
+            (
+                "quantized generator",
+                default,
+                &quantized,
+                Drift::None,
+                None,
+                &corner_bank,
+            ),
+            (
+                "negative margin",
+                negative_margin,
+                ideal,
+                Drift::None,
+                None,
+                &corner_bank,
+            ),
+            (
+                "fault plan",
+                default,
+                ideal,
+                Drift::None,
+                Some(plan),
+                &corner_bank,
+            ),
+            (
+                "negative spread",
+                default,
+                ideal,
+                Drift::None,
+                None,
+                &skewed_bank,
+            ),
+        ];
+        for (label, config, generator, drift, faults, corner_bank) in cases {
+            let new_bank = || {
+                let mut bank = AdaptiveBank::new(&models, &config, generator, None, drift);
+                bank.set_faults(faults);
+                bank
+            };
+            let mut bank = new_bank();
+            assert!(!bank.proof_ready(corner_bank), "{label}");
+            let proven = replay_with_proof(&mut bank, corner_bank, &digest);
+            assert_eq!(proven, 0, "{label}: no cycle may skip");
+            let mut exact = new_bank();
+            corner_bank.replay_digest(&digest, |cycle, dc, timings| {
+                exact.observe_digest_timed(cycle, dc, timings);
+            });
+            exact.finish(&digest.summary());
+            assert_eq!(bank.into_outcomes(), exact.into_outcomes(), "{label}");
+        }
+        // A bank of another corner count cannot vouch for these lanes.
+        let bank = AdaptiveBank::new(
+            &models[..4],
+            &default,
+            &ClockGenerator::Ideal,
+            None,
+            Drift::None,
+        );
+        assert!(!bank.proof_ready(&corner_bank));
+    }
+
+    #[test]
+    fn proof_cache_is_cleared_by_reset_and_by_a_violating_cycle() {
+        let digest = TimingDigest::from_trace(&long_trace());
+        let models = varied_models(3, 0xB0D);
+        let corner_bank = CornerBank::from_models(&models);
+        let config = AdaptiveConfig::default();
+        let mut bank =
+            AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
+        let cached = |bank: &AdaptiveBank<'_>| bank.covered.iter().any(|&x| x > f64::NEG_INFINITY);
+        assert!(!cached(&bank));
+        assert!(replay_with_proof(&mut bank, &corner_bank, &digest) > 0);
+        assert!(cached(&bank));
+        bank.reset(None);
+        assert!(!cached(&bank), "reset clears the proof cache");
+
+        // Warm up and prove, then feed one cycle from a much slower corner:
+        // it violates (and may back entries off), so every proof is void.
+        let slow_models: Vec<TimingModel> = models
+            .iter()
+            .map(|model| {
+                TimingModel::new(model.profile().clone(), model.library().clone(), 600)
+                    .expect("0.60 V is characterized")
+            })
+            .collect();
+        let slow_bank = CornerBank::from_models(&slow_models);
+        for lanes_path in [true, false] {
+            bank.reset(None);
+            replay_with_proof(&mut bank, &corner_bank, &digest);
+            assert!(cached(&bank));
+            let before: u64 = bank.violations.iter().sum();
+            let (cycle, dc) = (digest.cycles(), digest.pool()[0]);
+            if lanes_path {
+                bank.observe_cycle_lanes(cycle, &dc, slow_bank.evaluator().cycle_lanes(cycle, &dc));
+            } else {
+                let timings = slow_bank.evaluator().cycle_timings(cycle, &dc).to_vec();
+                bank.observe_digest_timed(cycle, &dc, &timings);
+            }
+            assert!(
+                bank.violations.iter().sum::<u64>() > before,
+                "the slow cycle violates"
+            );
+            assert!(!cached(&bank), "a violation clears the proof cache");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "corner 3 is out of range")]
+    fn observation_count_rejects_a_padding_lane() {
+        let models = varied_models(3, 7);
+        let bank = AdaptiveBank::new(
+            &models,
+            &AdaptiveConfig::default(),
+            &ClockGenerator::Ideal,
+            None,
+            Drift::None,
+        );
+        let _ = bank.observation_count(3, Stage::Execute, TimingClass::Add);
+    }
+
+    #[test]
+    #[should_panic(expected = "corner 3 is out of range")]
+    fn learned_ps_rejects_a_padding_lane() {
+        let models = varied_models(3, 7);
+        let bank = AdaptiveBank::new(
+            &models,
+            &AdaptiveConfig::default(),
+            &ClockGenerator::Ideal,
+            None,
+            Drift::None,
+        );
+        let _ = bank.learned_ps(3, Stage::Execute, TimingClass::Add);
     }
 
     #[test]

@@ -11,11 +11,20 @@
 //! The bank exploits a structural property of the table-driven policies
 //! (static / instruction-based / execute-only): their requested period
 //! depends only on the digest classes (or on nothing at all), never on the
-//! cycle index. Within one digest RLE run-block the request — and therefore
-//! the generator-realized period, the violation threshold and the fault
-//! detection limit — is constant, so [`PolicyBank::begin_block`] hoists all
-//! four out of the per-cycle loop and [`PolicyBank::observe_actuals`]
-//! reduces each cycle to a compare-and-count over the lanes.
+//! cycle index, and — because every corner deploys the same guarded LUT —
+//! not on the corner either. [`PolicyBank::begin_block`] takes that
+//! request once per digest cycle (digests measure one RLE run per cycle,
+//! so a "block" is a cycle in practice) and derives the realized period,
+//! the violation threshold and the fault detection limit only when the
+//! request changes; [`PolicyBank::observe_actuals`] then reduces the cycle
+//! to a compare-and-count over the lanes.
+//!
+//! When a delay bound has proved a whole walk violation-free on every
+//! corner, the lanes carry nothing corner-specific but the realized
+//! periods: [`PolicyBank::absorb_proven_walk`] (corner-invariant requests,
+//! folded as one scalar [`ProvenWalk`]) and
+//! [`PolicyBank::absorb_proven_per_corner`] (the per-corner static period)
+//! replace the per-cycle lane work.
 //!
 //! Every fold replicates [`PolicyObserver`](crate::PolicyObserver)'s
 //! arithmetic operation-for-operation (same order, same constants), so
@@ -28,18 +37,53 @@ use crate::ClockGenerator;
 use idca_pipeline::{CycleObserver, RunSummary};
 use idca_timing::{ActivityObserver, FaultPlan, Ps, LANE_WIDTH};
 
+/// Scalar fold of a walk whose request is the same on every corner and
+/// which a delay bound proved violation-free on every corner: every lane of
+/// a [`PolicyBank`] would accumulate exactly these values, so the walk
+/// keeps one copy ([`ProvenWalk::observe`] per cycle, in cycle order) and
+/// [`PolicyBank::absorb_proven_walk`] broadcasts it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ProvenWalk {
+    total_time_ps: f64,
+    min_period_ps: Ps,
+    max_period_ps: Ps,
+}
+
+impl Default for ProvenWalk {
+    fn default() -> Self {
+        ProvenWalk {
+            total_time_ps: 0.0,
+            min_period_ps: Ps::INFINITY,
+            max_period_ps: 0.0,
+        }
+    }
+}
+
+impl ProvenWalk {
+    /// Folds one cycle's realized period — the scalar form of the lane
+    /// kernel's `total += realized` and min/max folds.
+    #[inline]
+    pub fn observe(&mut self, realized: Ps) {
+        self.total_time_ps += realized;
+        self.min_period_ps = self.min_period_ps.min(realized);
+        self.max_period_ps = self.max_period_ps.max(realized);
+    }
+}
+
 /// SoA-packed per-corner accumulators of one clock policy evaluated
 /// against `M` PVT corners — see the [module docs](self).
 ///
 /// # Protocol
 ///
-/// For each digest run-block: one call to [`PolicyBank::begin_block`]
-/// (corner-invariant request) or [`PolicyBank::begin_block_per_corner`]
-/// (per-corner requests, e.g. the per-corner static period), then one
-/// [`PolicyBank::observe_actuals`] per cycle of the block with the
-/// lane-packed actual delays. After the walk, [`PolicyBank::finish`] with
-/// the run summary and [`PolicyBank::into_outcomes`] to take the
-/// per-corner [`RunOutcome`]s.
+/// For each digest cycle (or run of identical cycles): one call to
+/// [`PolicyBank::begin_block`] (corner-invariant request) or
+/// [`PolicyBank::begin_block_per_corner`] (per-corner requests, e.g. the
+/// per-corner static period), then one [`PolicyBank::observe_actuals`] per
+/// cycle with the lane-packed actual delays. A walk proved violation-free
+/// is instead absorbed whole by [`PolicyBank::absorb_proven_walk`] or
+/// [`PolicyBank::absorb_proven_per_corner`]. After the walk,
+/// [`PolicyBank::finish`] with the run summary and
+/// [`PolicyBank::into_outcomes`] to take the per-corner [`RunOutcome`]s.
 #[derive(Debug, Clone)]
 pub struct PolicyBank<'a> {
     policy_name: String,
@@ -163,11 +207,11 @@ impl<'a> PolicyBank<'a> {
         self.outcomes = None;
     }
 
-    /// Starts a run-block whose request is corner-invariant (the
-    /// table-driven LUT policies decide from digest classes alone):
-    /// realizes `requested` once, broadcasts the hoisted
-    /// threshold/detect/penalty values across the lanes and folds the
-    /// block's min/max periods.
+    /// Starts a cycle (or a run of identical cycles) whose request is
+    /// corner-invariant (the table-driven LUT policies decide from digest
+    /// classes alone): unless the request repeats the previous one,
+    /// realizes it, broadcasts the hoisted threshold/detect/penalty values
+    /// across the lanes and folds the min/max periods.
     #[inline]
     pub fn begin_block(&mut self, requested: Ps) {
         if self.padded == 0 {
@@ -325,6 +369,48 @@ impl<'a> PolicyBank<'a> {
             .zip(actuals);
         for ((entry, &threshold), &actual) in folds {
             *entry += u64::from(threshold < actual);
+        }
+    }
+
+    /// Absorbs a whole walk that a delay bound proved violation-free on
+    /// every corner, at corner-invariant requests folded into `walk` —
+    /// bit-identical to [`PolicyBank::begin_block`] +
+    /// [`PolicyBank::observe_actuals`] per cycle: no lane violates, so only
+    /// the realized-time sums and the min/max folds move, and every lane's
+    /// in-order sum from `0.0` is the walk's scalar sum. Must be the only
+    /// input the bank received since it was created or reset.
+    pub fn absorb_proven_walk(&mut self, walk: &ProvenWalk) {
+        debug_assert!(self.total_time_ps.iter().all(|&t| t == 0.0));
+        let corners = self.corners;
+        self.total_time_ps[..corners].fill(walk.total_time_ps);
+        self.min_period_ps[..corners].fill(walk.min_period_ps);
+        self.max_period_ps[..corners].fill(walk.max_period_ps);
+    }
+
+    /// [`PolicyBank::absorb_proven_walk`] for a walk of `cycles` cycles at
+    /// per-corner constant requests (the static baseline): each lane adds
+    /// its realized period `cycles` times, in order, exactly as the
+    /// per-cycle kernel would. Must be the only input the bank received
+    /// since it was created or reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests.len() != self.corners()`.
+    pub fn absorb_proven_per_corner(&mut self, requests: &[Ps], cycles: u64) {
+        assert_eq!(requests.len(), self.corners, "one request per corner");
+        debug_assert!(self.total_time_ps.iter().all(|&t| t == 0.0));
+        if cycles == 0 {
+            return;
+        }
+        for (lane, &requested) in requests.iter().enumerate() {
+            let realized = self.generator.realize(requested);
+            let mut total = 0.0;
+            for _ in 0..cycles {
+                total += realized;
+            }
+            self.total_time_ps[lane] = total;
+            self.min_period_ps[lane] = self.min_period_ps[lane].min(realized);
+            self.max_period_ps[lane] = self.max_period_ps[lane].max(realized);
         }
     }
 
@@ -527,6 +613,39 @@ mod tests {
         let spec = FaultSpec::parse("seed=3,droop-rate=0.4,droop-mag=0.5,spike-rate=0.05,spike-mag=0.9,penalty=5,detect-window=0.3")
             .unwrap();
         assert_bank_matches_scalar(&corner_models(6), Some(FaultPlan::new(&spec)));
+    }
+
+    #[test]
+    fn proven_walks_are_bit_identical_to_the_lane_kernel() {
+        // A violation-free walk (actuals far below every request), fed once
+        // through the per-cycle kernel and once absorbed whole.
+        let digest = digest();
+        let generator = ClockGenerator::Ideal;
+        let lut = crate::DelayLut::from_model(&corner_models(1)[0]);
+        let policy = crate::InstructionBased::new(lut);
+        let static_requests = [2100.0, 1990.5, 2222.25];
+        let mut uniform = PolicyBank::new("instruction-based", 3, &generator);
+        let mut per_corner = PolicyBank::new("static", 3, &generator);
+        let actuals = vec![100.0; uniform.padded_lanes()];
+        let mut walk = ProvenWalk::default();
+        digest.for_each_cycle(|cycle, dc| {
+            let requested = crate::ClockPolicy::digest_period_ps(&policy, cycle, dc);
+            uniform.begin_block(requested);
+            uniform.observe_actuals(&actuals);
+            per_corner.begin_block_per_corner(&static_requests);
+            per_corner.observe_actuals(&actuals);
+            walk.observe(generator.realize(requested));
+        });
+        let mut proven_uniform = PolicyBank::new("instruction-based", 3, &generator);
+        proven_uniform.absorb_proven_walk(&walk);
+        let mut proven_per_corner = PolicyBank::new("static", 3, &generator);
+        proven_per_corner.absorb_proven_per_corner(&static_requests, digest.cycles());
+        for (mut exact, mut proven) in [(uniform, proven_uniform), (per_corner, proven_per_corner)]
+        {
+            exact.finish(&digest.summary());
+            proven.finish(&digest.summary());
+            assert_eq!(exact.into_outcomes(), proven.into_outcomes());
+        }
     }
 
     #[test]

@@ -262,12 +262,11 @@ impl<'a> PolicyObserver<'a> {
     }
 
     /// [`PolicyObserver::observe_digest_timed`] with the policy's requested
-    /// period also precomputed. The banked sweep walks digests one RLE
-    /// run-block at a time; within a block the stage classes are constant,
-    /// so the table-driven policies' decisions are too — the caller
-    /// evaluates [`ClockPolicy::digest_period_ps`] once per block and feeds
-    /// the identical value to every cycle (and, for corner-invariant
-    /// policies, every corner) instead of re-deriving it per lane.
+    /// period also precomputed. The table-driven policies decide from the
+    /// digest classes alone, so a caller replaying several corners
+    /// evaluates [`ClockPolicy::digest_period_ps`] once per cycle and feeds
+    /// the identical value to every corner instead of re-deriving it per
+    /// lane.
     pub fn observe_digest_prepared(
         &mut self,
         requested: Ps,

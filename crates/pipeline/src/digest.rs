@@ -507,6 +507,28 @@ impl TimingDigest {
         }
     }
 
+    /// The deduplicated pool of unique digest cycles, indexed by the pool
+    /// ids [`TimingDigest::for_each_cycle_id`] reports.
+    #[must_use]
+    pub fn pool(&self) -> &[DigestCycle] {
+        &self.pool
+    }
+
+    /// [`TimingDigest::for_each_cycle`] with each cycle's pool id (its index
+    /// into [`TimingDigest::pool`]) passed alongside, so a consumer can key
+    /// per-entry precomputation — e.g. a delay bound derived once per
+    /// unique cycle — without hashing the record.
+    pub fn for_each_cycle_id<F: FnMut(u64, u32, &DigestCycle)>(&self, mut f: F) {
+        let mut cycle: u64 = 0;
+        for run in &self.runs {
+            let dc = &self.pool[run.cycle_id as usize];
+            for _ in 0..run.len {
+                f(cycle, run.cycle_id, dc);
+                cycle += 1;
+            }
+        }
+    }
+
     /// Walks the encoded stream one *run-block* at a time, invoking `f` with
     /// the first cycle index of the block, the block length and the shared
     /// digest record. This is the batched replay driver: a consumer decodes
@@ -1346,6 +1368,33 @@ mod tests {
         });
         assert!(digest.run_count() as u64 <= digest.cycles());
         assert_eq!(expanded, per_cycle);
+    }
+
+    #[test]
+    fn pool_id_walk_yields_the_cycle_walk() {
+        let t = trace(
+            "        l.addi r3, r0, 60
+             loop:   l.mul  r4, r3, r3
+                     l.addi r3, r3, -1
+                     l.sfne r3, r0
+                     l.bf   loop
+                     l.nop  0
+                     l.nop  1",
+        );
+        let digest = TimingDigest::from_trace(&t);
+        let mut per_cycle = Vec::new();
+        digest.for_each_cycle(|cycle, dc| per_cycle.push((cycle, *dc)));
+        let mut by_id = Vec::new();
+        let mut seen = vec![false; digest.pool().len()];
+        digest.for_each_cycle_id(|cycle, id, dc| {
+            // The id indexes the very record the walk hands out.
+            assert_eq!(digest.pool()[id as usize], *dc, "cycle {cycle}");
+            seen[id as usize] = true;
+            by_id.push((cycle, *dc));
+        });
+        assert_eq!(by_id, per_cycle);
+        assert_eq!(digest.pool().len(), digest.unique_cycles());
+        assert!(seen.iter().all(|&s| s), "every pool entry is referenced");
     }
 
     #[test]

@@ -57,6 +57,10 @@ pub struct CornerBank {
     scale: Vec<f64>,
     /// Per-corner static periods (handy for per-lane static baselines).
     static_period_ps: Vec<Ps>,
+    /// Whether every lane's base, spread and scale is non-negative — the
+    /// precondition under which the delay fold is monotone in the
+    /// excitation (see [`CornerBank::bound_is_monotone`]).
+    monotone: bool,
 }
 
 impl CornerBank {
@@ -84,6 +88,9 @@ impl CornerBank {
             scale[lane] = model.operating_point().delay_scale;
         }
         let static_period_ps = models.iter().map(TimingModel::static_period_ps).collect();
+        let monotone = [&base, &spread, &scale]
+            .iter()
+            .all(|lanes| lanes.iter().all(|&value| value >= 0.0));
         CornerBank {
             corners,
             padded,
@@ -91,7 +98,22 @@ impl CornerBank {
             spread,
             scale,
             static_period_ps,
+            monotone,
         }
+    }
+
+    /// Whether a delay bound evaluated through
+    /// [`CornerBank::delays_from_excitation`] at a worst-case excitation
+    /// bounds every delay at a smaller excitation, on every lane, and is
+    /// non-negative. True when every lane's base, spread and scale is
+    /// non-negative: then `base - spread × (1 - x)` is non-decreasing in
+    /// `x` under round-to-nearest (each operation is monotone), the
+    /// short-path floor keeps it so, and the non-negative scale preserves
+    /// the order. A bank that fails this check must not skip any cycle on
+    /// the strength of a bound.
+    #[must_use]
+    pub fn bound_is_monotone(&self) -> bool {
+        self.monotone
     }
 
     /// Number of corners in the bank (excluding padding lanes).
@@ -180,9 +202,8 @@ impl CornerBank {
 
     /// Replays a whole digest against the bank: one digest walk, with `f`
     /// invoked once per simulated cycle carrying the per-corner
-    /// [`CycleTiming`]s (index = corner). Pool entries are decoded once per
-    /// RLE run-block; the per-cycle dithers are computed once and broadcast
-    /// across corners.
+    /// [`CycleTiming`]s (index = corner). The per-cycle dithers are
+    /// computed once and broadcast across corners.
     pub fn replay_digest<F: FnMut(u64, &DigestCycle, &[CycleTiming])>(
         &self,
         digest: &TimingDigest,
@@ -528,6 +549,58 @@ mod tests {
                 lanes[corner],
                 model.worst_case_ps(Stage::Execute, TimingClass::Mul)
             );
+        }
+    }
+
+    #[test]
+    fn worst_excitation_bounds_dominate_every_cycle() {
+        let d = mixed_digest();
+        for corners in [1, 3, 4, 9] {
+            let models = varied_models(corners, 0xB0D);
+            let bank = CornerBank::from_models(&models);
+            assert!(bank.bound_is_monotone());
+            let mut evaluator = bank.evaluator();
+            let mut bound = vec![0.0; bank.padded_lanes()];
+            d.for_each_cycle(|cycle, dc| {
+                let worst = crate::worst_stage_excitations(dc);
+                let lanes = evaluator.cycle_lanes(cycle, dc);
+                for stage in Stage::ALL {
+                    let (class, excitation) = (dc.classes[stage.index()], worst[stage.index()]);
+                    bank.delays_from_excitation(stage, class, excitation, &mut bound);
+                    for (corner, &bound) in bound.iter().enumerate().take(corners as usize) {
+                        assert!(
+                            lanes.stage_lanes(stage)[corner] <= bound,
+                            "cycle {cycle} corner {corner} stage {stage:?}"
+                        );
+                    }
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn negative_lane_parameters_disable_the_bound() {
+        let nominal = TimingModel::at_nominal(ProfileKind::CriticalRangeOptimized);
+        let with_group = |worst_case: Ps, spread: Ps| {
+            let profile = nominal.profile().with_path_group(
+                Stage::Execute,
+                TimingClass::Mul,
+                worst_case,
+                spread,
+            );
+            TimingModel::new(
+                profile,
+                crate::CellLibrary::fdsoi28(),
+                crate::NOMINAL_VOLTAGE_MV,
+            )
+            .expect("nominal voltage")
+        };
+        let worst = nominal.worst_case_ps(Stage::Execute, TimingClass::Mul);
+        let plain = CornerBank::from_models(&[nominal.clone(), with_group(worst, 0.0)]);
+        assert!(plain.bound_is_monotone(), "zero spread is still monotone");
+        for bad in [with_group(worst, -50.0), with_group(-1.0, 0.0)] {
+            let bank = CornerBank::from_models(&[nominal.clone(), bad]);
+            assert!(!bank.bound_is_monotone());
         }
     }
 

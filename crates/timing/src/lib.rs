@@ -90,7 +90,7 @@ pub use fault::{FaultPlan, FaultSpec, FaultSpecError, DROOP_WINDOW_CYCLES, SHIFT
 pub use histogram::{Histogram, HistogramMergeError};
 pub use irq::{surged, IrqCursor, IrqTimeline};
 pub use library::{CellLibrary, LibraryError, OperatingPoint};
-pub use model::{CycleTiming, EventLogObserver, TimingModel};
+pub use model::{worst_stage_excitations, CycleTiming, EventLogObserver, TimingModel};
 pub use power::{ActivityObserver, ActivitySummary, PowerModel, PowerReport};
 pub use profile::{ProfileKind, StageClassDelays, TimingProfile};
 pub use variation::{PvtCorner, VariationModel, NOMINAL_TEMPERATURE_C};

@@ -376,6 +376,39 @@ fn quantize_dither(value: f64) -> f64 {
     ((value * 8.0).floor() / 7.0).clamp(0.0, 1.0)
 }
 
+/// Number of values [`quantize_dither`] can return.
+const DITHER_LEVELS: u32 = 8;
+
+/// The `k`-th dither level, computed with exactly the arithmetic
+/// [`quantize_dither`] applies once `floor` has produced `k` — so the set
+/// `{dither_level(k)}` is bit-for-bit the set of dithers any cycle can see.
+fn dither_level(k: u32) -> f64 {
+    (f64::from(k) / 7.0).clamp(0.0, 1.0)
+}
+
+/// The corner-invariant worst-case blended excitation of every stage of a
+/// digested cycle: the maximum of `blend(raw(d), d)` over the eight
+/// quantized dither levels `d`, evaluated with the replay's own arithmetic.
+/// Whatever cycle index the record occurs at, its per-stage blended
+/// excitation is one of the values folded here, so it never exceeds the
+/// returned bound — the basis of the bound-proven replay, which feeds these
+/// excitations through [`crate::CornerBank::delays_from_excitation`]
+/// (monotone in the excitation while every lane's spread, base and scale
+/// are non-negative, see [`crate::CornerBank::bound_is_monotone`]).
+#[must_use]
+pub fn worst_stage_excitations(digest: &DigestCycle) -> [f64; Stage::COUNT] {
+    let mut worst = [0.0; Stage::COUNT];
+    for (slot, excitation) in worst.iter_mut().zip(&digest.excitation) {
+        *slot = (0..DITHER_LEVELS)
+            .map(|k| {
+                let dither = dither_level(k);
+                blend_excitation(excitation.raw(dither), dither)
+            })
+            .fold(f64::NEG_INFINITY, f64::max);
+    }
+    worst
+}
+
 /// Salt multiplying the first hash input (split-mix increment constant).
 const HASH_SALT_A: u64 = 0x9E37_79B9_7F4A_7C15;
 /// Salt multiplying the second hash input.
@@ -574,6 +607,59 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn dither_levels_are_exactly_the_quantizer_outputs() {
+        // Each quantizer bucket [k/8, (k+1)/8) maps onto `dither_level(k)`
+        // bit for bit, at both bucket edges.
+        for k in 0..DITHER_LEVELS {
+            let low = f64::from(k) / 8.0;
+            let high = (f64::from(k + 1) / 8.0).next_down();
+            assert_eq!(quantize_dither(low).to_bits(), dither_level(k).to_bits());
+            assert_eq!(quantize_dither(high).to_bits(), dither_level(k).to_bits());
+        }
+        // And every hashed dither is one of the eight levels.
+        let levels: Vec<u64> = (0..DITHER_LEVELS)
+            .map(|k| dither_level(k).to_bits())
+            .collect();
+        for cycle in 0..2_000u64 {
+            for dither in stage_dithers(cycle, 0x40 + 4 * cycle as u32) {
+                assert!(levels.contains(&dither.to_bits()), "dither {dither}");
+            }
+        }
+    }
+
+    #[test]
+    fn worst_stage_excitations_bound_every_cycle() {
+        let t = trace(
+            "        l.addi r1, r0, 0x100
+                     l.addi r3, r0, 60
+             loop:   l.mul  r5, r3, r3
+                     l.sw   0(r1), r5
+                     l.lwz  r6, 0(r1)
+                     l.add  r4, r4, r6
+                     l.addi r3, r3, -1
+                     l.sfne r3, r0
+                     l.bf   loop
+                     l.nop  0
+                     l.nop  1",
+        );
+        let digest = idca_pipeline::TimingDigest::from_trace(&t);
+        let mut attained = vec![[false; Stage::COUNT]; digest.pool().len()];
+        digest.for_each_cycle_id(|cycle, id, dc| {
+            let worst = worst_stage_excitations(dc);
+            let dithers = stage_dithers(cycle, dc.fetch_address);
+            for stage in Stage::ALL {
+                let i = stage.index();
+                let actual = blend_excitation(dc.excitation[i].raw(dithers[i]), dithers[i]);
+                assert!(actual <= worst[i], "cycle {cycle} stage {stage}");
+                attained[id as usize][i] |= actual == worst[i];
+            }
+        });
+        // The bound is tight: dither-insensitive stages attain it on every
+        // cycle, so some entry attains it somewhere.
+        assert!(attained.iter().flatten().any(|&hit| hit));
     }
 
     #[test]

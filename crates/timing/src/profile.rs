@@ -319,6 +319,27 @@ impl TimingProfile {
         &self.base
     }
 
+    /// Returns a copy of the profile with one `(stage, class)` path group's
+    /// worst-case delay and data-dependent spread replaced (a what-if
+    /// hook; the stage's STA limit is left as it is). Values are taken
+    /// verbatim, so a caller can also build physically implausible
+    /// profiles — e.g. a negative spread, whose delay *falls* with
+    /// excitation — which consumers relying on monotone delays must
+    /// detect rather than assume away.
+    #[must_use]
+    pub fn with_path_group(
+        &self,
+        stage: Stage,
+        class: TimingClass,
+        worst_case: Ps,
+        spread: Ps,
+    ) -> TimingProfile {
+        let mut varied = self.clone();
+        varied.base.set(stage, class, worst_case);
+        varied.spread.set(stage, class, spread);
+        varied
+    }
+
     /// Returns a copy of the profile with every `(stage, class)` path group
     /// scaled by `factor(stage, class)` — the hook the PVT
     /// [`VariationModel`](crate::VariationModel) uses to perturb per-cell
