@@ -51,7 +51,7 @@
 use idca_core::{
     policy::{ExecuteOnly, InstructionBased, StaticClock},
     AdaptiveBank, AdaptiveConfig, AdaptiveObserver, ClockGenerator, ClockPolicy, DelayLut, Drift,
-    PolicyBank, PolicyObserver, ProvenWalk,
+    PolicyBank, PolicyObserver,
 };
 use idca_gen::{generate_program, nth_seed, GenConfig};
 use idca_isa::{Program, TimingClass};
@@ -1000,17 +1000,30 @@ struct ReplayScratch {
     bank_lut: PolicyBank<'static>,
     bank_exec: PolicyBank<'static>,
     adaptive: AdaptiveBank<'static>,
-    /// Per pool entry of the current seed: the corner-invariant worst-case
-    /// blended excitation of every stage.
+    /// Per pool entry of the current seed: the instruction-based and
+    /// execute-only requests (corner-invariant, since every corner deploys
+    /// the same guarded LUT, and cycle-invariant).
+    lut_requests: Vec<Ps>,
+    exec_requests: Vec<Ps>,
+    /// Per pool entry of the current seed (bounded walks only): the
+    /// corner-invariant worst-case blended excitation of every stage.
     worst: Vec<[f64; Stage::COUNT]>,
-    /// Per pool entry of the current seed: the realized instruction-based
-    /// and execute-only periods (corner-invariant, since every corner
-    /// deploys the same guarded LUT).
-    lut_realized: Vec<Ps>,
-    exec_realized: Vec<Ps>,
+    /// Per pool entry of the current seed: whether the delay bound proves
+    /// the entry violation-free for all three table-driven policies on
+    /// every corner (always `false` on an unbounded walk).
+    table_proven: Vec<bool>,
     /// Bound-evaluation lane scratch (padded to the bank's lane width).
     bound_lanes: Vec<Ps>,
 }
+
+/// Pool entries the per-entry tables of [`ReplayScratch`] reserve up front.
+/// Seeds' pools vary in size (the largest of the 400-seed storm sweep at
+/// seed 7 has 524 entries), and growing the tables seed by seed leaves a
+/// trail of freed smaller blocks between the long-lived digests: the
+/// fragmented heap measurably raised the peak resident set of storm
+/// shards. Reserving once keeps one allocation per table for the worker's
+/// lifetime; larger pools still grow it.
+const POOL_ENTRIES_RESERVED: usize = 1024;
 
 impl ReplayScratch {
     fn new(contexts: &[CornerContext], faults: Option<&FaultPlan>) -> ReplayScratch {
@@ -1052,9 +1065,10 @@ impl ReplayScratch {
             bank_lut: bank(SWEEP_POLICIES[1]),
             bank_exec: bank(SWEEP_POLICIES[2]),
             adaptive,
-            worst: Vec::new(),
-            lut_realized: Vec::new(),
-            exec_realized: Vec::new(),
+            lut_requests: Vec::with_capacity(POOL_ENTRIES_RESERVED),
+            exec_requests: Vec::with_capacity(POOL_ENTRIES_RESERVED),
+            worst: Vec::with_capacity(POOL_ENTRIES_RESERVED),
+            table_proven: Vec::with_capacity(POOL_ENTRIES_RESERVED),
             bound_lanes: vec![0.0; corners.next_multiple_of(LANE_WIDTH)],
         }
     }
@@ -1080,27 +1094,40 @@ impl ReplayScratch {
         self.adaptive.reset(None);
     }
 
-    /// Derives one seed's delay bound. Per unique pool entry: the
-    /// worst-case excitations (kept for the adaptive proof) and the
-    /// corner-invariant realized LUT periods. Per `(stage, class)` the seed
-    /// exercises: one [`CornerBank::delays_from_excitation`] pass at the
-    /// largest worst-case excitation of the entries carrying that class in
-    /// that stage, reduced to its largest lane and to whether every lane
-    /// fits its corner's static threshold. Returns whether those bounds
-    /// prove the static, instruction-based and execute-only policies
-    /// violation-free on every corner for **every** entry. The bank's delay
-    /// fold must be monotone ([`CornerBank::bound_is_monotone`]) for the
-    /// answer to mean anything; the caller checks that.
-    fn bound_seed(
+    /// Derives one seed's per-pool-entry tables: the table-driven requests
+    /// and, when `bank` is given (its delay fold must be monotone,
+    /// [`CornerBank::bound_is_monotone`]; the caller checks that), the
+    /// delay bound. Per entry: the worst-case excitations (kept for the
+    /// adaptive proof). Per `(stage, class)` the seed exercises: one
+    /// [`CornerBank::delays_from_excitation`] pass at the largest
+    /// worst-case excitation of the entries carrying that class in that
+    /// stage, reduced to its largest lane, or to "unbounded" when some lane
+    /// exceeds its corner's static threshold. An entry is table-proven when
+    /// the bounds of its six groups fit its instruction-based and
+    /// execute-only thresholds, so a failing group sends only its own
+    /// entries to the exact path.
+    fn prepare_seed(
         &mut self,
         digest: &TimingDigest,
         contexts: &[CornerContext],
-        bank: &CornerBank,
-    ) -> bool {
+        bank: Option<&CornerBank>,
+    ) {
         let corners = contexts.len();
+        self.lut_requests.clear();
+        self.exec_requests.clear();
         self.worst.clear();
-        self.lut_realized.clear();
-        self.exec_realized.clear();
+        self.table_proven.clear();
+        for dc in digest.pool() {
+            // The table-driven requests ignore the cycle index.
+            self.lut_requests
+                .push(contexts[0].lut_policy.digest_period_ps(0, dc));
+            self.exec_requests
+                .push(contexts[0].exec_only.digest_period_ps(0, dc));
+        }
+        let Some(bank) = bank else {
+            self.table_proven.resize(digest.pool().len(), false);
+            return;
+        };
         let mut group_worst = [[f64::NEG_INFINITY; TimingClass::COUNT]; Stage::COUNT];
         for dc in digest.pool() {
             let worst = worst_stage_excitations(dc);
@@ -1109,16 +1136,11 @@ impl ReplayScratch {
                 *group = group.max(worst[stage.index()]);
             }
             self.worst.push(worst);
-            // The table-driven requests ignore the cycle index.
-            self.lut_realized
-                .push(IDEAL_GENERATOR.realize(contexts[0].lut_policy.digest_period_ps(0, dc)));
-            self.exec_realized
-                .push(IDEAL_GENERATOR.realize(contexts[0].exec_only.digest_period_ps(0, dc)));
         }
         // Same compare as the banks: a lane violates when
         // `realized + 1e-9 < actual`, and every actual is at most its
         // group's bound lane.
-        let mut group_bound = [[0.0; TimingClass::COUNT]; Stage::COUNT];
+        let mut group_bound = [[Ps::INFINITY; TimingClass::COUNT]; Stage::COUNT];
         for stage in Stage::ALL {
             for class in TimingClass::ALL {
                 let excitation = group_worst[stage.index()][class.index()];
@@ -1131,19 +1153,24 @@ impl ReplayScratch {
                     .iter()
                     .zip(&self.static_thresholds)
                     .fold(true, |all, (&bound, &threshold)| all & (bound <= threshold));
-                if !fits_static {
-                    return false;
+                if fits_static {
+                    group_bound[stage.index()][class.index()] =
+                        lanes.iter().copied().fold(0.0, f64::max);
                 }
-                group_bound[stage.index()][class.index()] =
-                    lanes.iter().copied().fold(0.0, f64::max);
             }
         }
-        digest.pool().iter().enumerate().all(|(id, dc)| {
-            let threshold = (self.lut_realized[id] + 1e-9).min(self.exec_realized[id] + 1e-9);
-            Stage::ALL.iter().all(|&stage| {
+        let entries = digest
+            .pool()
+            .iter()
+            .zip(&self.lut_requests)
+            .zip(&self.exec_requests);
+        for ((dc, &lut), &exec) in entries {
+            let threshold =
+                (IDEAL_GENERATOR.realize(lut) + 1e-9).min(IDEAL_GENERATOR.realize(exec) + 1e-9);
+            self.table_proven.push(Stage::ALL.iter().all(|&stage| {
                 group_bound[stage.index()][dc.classes[stage.index()].index()] <= threshold
-            })
-        })
+            }));
+        }
     }
 }
 
@@ -1186,23 +1213,26 @@ struct ProvenCycles {
 /// per-corner delay folds run through the [`CornerBank`]'s vectorized
 /// lanes; and **all** per-corner policy state lives in structure-of-arrays
 /// banks — the three table-driven policies' accumulators in
-/// [`PolicyBank`]s (their requests are corner-invariant, decided once per
-/// cycle from the digest classes; the realize/threshold derivation only
-/// reruns when the request changes) and the `M` adaptive controllers'
-/// learned tables in one [`AdaptiveBank`].
+/// [`PolicyBank`]s (their requests are corner-invariant, looked up once
+/// per cycle from the seed's per-entry table; the realize/threshold
+/// derivation only reruns when the request changes) and the `M` adaptive
+/// controllers' learned tables in one [`AdaptiveBank`].
 ///
-/// **Bound-proven path.** When the walk is fault- and interrupt-free on a
-/// bank with a monotone delay fold, the seed's pool entries are bounded
-/// first ([`ReplayScratch::bound_seed`]): each entry's worst-case
-/// excitation over the eight dither levels, fed through the bank, gives
-/// per-corner delay bounds. If they prove every entry violation-free for
-/// the table-driven policies, those policies skip all lane work and fold
-/// only their realized periods ([`ProvenWalk`],
-/// [`PolicyBank::absorb_proven_per_corner`]). The adaptive bank skips
-/// every cycle its warm entries cover ([`AdaptiveBank::observe_proven`]);
-/// a cycle both proofs settle needs no dither hash and no delay lanes at
-/// all. Everything else — and every walk whose preconditions fail — takes
-/// the exact path, bit-identical either way (pinned by
+/// **Bound-proven path.** On a bank with a monotone delay fold, the seed's
+/// pool entries are bounded first ([`ReplayScratch::prepare_seed`]): each
+/// entry's worst-case excitation over the eight dither levels, fed through
+/// the bank, gives per-corner delay bounds. The proof is then decided per
+/// cycle. A cycle is *unperturbed* when its one fault-factor evaluation is
+/// exactly `1.0` on every stage and it is not an interrupt-entry cycle:
+/// its lanes are exactly what the bank evaluates, so the bound holds. On
+/// an unperturbed cycle whose entry the bound proves violation-free, the
+/// table-driven policies fold only their realized periods
+/// ([`PolicyBank::observe_proven`], O(1)); the adaptive bank skips every
+/// unperturbed cycle its warm entries cover
+/// ([`AdaptiveBank::observe_proven`]); a cycle both proofs settle needs no
+/// dither hash and no delay lanes at all. Perturbed cycles, unproven
+/// entries and every walk whose walk-level preconditions fail take the
+/// exact path, bit-identical either way (pinned by
 /// `crates/bench/tests/proven_replay_property.rs` and the unit tests
 /// below).
 ///
@@ -1226,26 +1256,42 @@ fn replay_seed_banked(
     }
     with_replay_scratch(contexts, faults, |scratch| {
         let mut evaluator = bank.evaluator();
-        // The bound covers the lanes as the bank evaluates them; fault
-        // factors and the entry surge scale them afterwards, so such walks
-        // stay exact.
-        let bounded = faults.is_none() && irq.is_none() && bank.bound_is_monotone();
-        let table_proven = bounded && scratch.bound_seed(digest, contexts, bank);
+        let bounded = bank.bound_is_monotone();
+        scratch.prepare_seed(digest, contexts, bounded.then_some(bank));
         let adaptive_proof = bounded && scratch.adaptive.proof_ready(bank);
-        let mut lut_walk = ProvenWalk::default();
-        let mut exec_walk = ProvenWalk::default();
         let mut proven = ProvenCycles::default();
-        let mut cursor = irq.map(|scenario| scenario.timeline.cursor());
+        let mut fault_cursor = faults.map(FaultPlan::cursor);
+        let mut irq_cursor = irq.map(|scenario| scenario.timeline.cursor());
+        // The static requests are walk-constant: one block spans the walk.
+        scratch
+            .bank_static
+            .begin_block_per_corner(&scratch.static_requests);
         digest.for_each_cycle_id(|cycle, id, dc| {
             let id = id as usize;
-            if table_proven {
-                lut_walk.observe(scratch.lut_realized[id]);
-                exec_walk.observe(scratch.exec_realized[id]);
-            }
-            let adaptive_proven = adaptive_proof
+            // One fault-factor evaluation per cycle feeds both the proof
+            // gate and the lanes.
+            let factors = fault_cursor
+                .as_mut()
+                .map(|cursor| cursor.stage_factors(cycle))
+                .filter(|factors| factors.iter().any(|&f| f != 1.0));
+            let entry = irq_cursor
+                .as_mut()
+                .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
+            let unperturbed = factors.is_none() && !entry;
+            let table_proven = unperturbed && scratch.table_proven[id];
+            let adaptive_proven = unperturbed
+                && adaptive_proof
                 && scratch
                     .adaptive
                     .observe_proven(&dc.classes, &scratch.worst[id], bank);
+            scratch.bank_lut.begin_block(scratch.lut_requests[id]);
+            scratch.bank_exec.begin_block(scratch.exec_requests[id]);
+            if table_proven {
+                scratch.bank_static.observe_proven();
+                scratch.bank_lut.observe_proven();
+                scratch.bank_exec.observe_proven();
+            }
+            proven.table += u64::from(table_proven);
             proven.adaptive += u64::from(adaptive_proven);
             if table_proven && adaptive_proven {
                 return;
@@ -1253,15 +1299,11 @@ fn replay_seed_banked(
             // The evaluated cycle stays in structure-of-arrays form end to
             // end: no per-corner `CycleTiming` structs are built on the hot
             // path.
-            let entry = cursor
-                .as_mut()
-                .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
             let lanes = evaluator.cycle_lanes(cycle, dc);
-            if let Some(plan) = faults {
-                // The perturbation is the same pure `(fault seed, cycle)`
-                // function the scalar paths apply, so the lanes stay
-                // bit-identical to them.
-                lanes.apply_fault(plan, cycle);
+            if let Some(factors) = &factors {
+                // The same pure `(fault seed, cycle)` factors the scalar
+                // paths apply, so the lanes stay bit-identical to them.
+                lanes.apply_fault_factors(factors);
             }
             if entry {
                 // Faults first, then the entry surge — same canonical
@@ -1270,15 +1312,6 @@ fn replay_seed_banked(
             }
             let lanes = &*lanes;
             if !table_proven {
-                scratch
-                    .bank_lut
-                    .begin_block(contexts[0].lut_policy.digest_period_ps(cycle, dc));
-                scratch
-                    .bank_exec
-                    .begin_block(contexts[0].exec_only.digest_period_ps(cycle, dc));
-                scratch
-                    .bank_static
-                    .begin_block_per_corner(&scratch.static_requests);
                 for policy_bank in [
                     &mut scratch.bank_static,
                     &mut scratch.bank_lut,
@@ -1299,14 +1332,6 @@ fn replay_seed_banked(
         });
 
         let summary = digest.summary();
-        if table_proven {
-            scratch.bank_lut.absorb_proven_walk(&lut_walk);
-            scratch.bank_exec.absorb_proven_walk(&exec_walk);
-            scratch
-                .bank_static
-                .absorb_proven_per_corner(&scratch.static_requests, summary.cycles);
-            proven.table = summary.cycles;
-        }
         scratch.bank_static.finish(&summary);
         scratch.bank_lut.finish(&summary);
         scratch.bank_exec.finish(&summary);
@@ -2158,6 +2183,37 @@ mod tests {
             assert_eq!(proven.table, 0, "the slow corners defeat the bound");
             let violations: u64 = rows.iter().map(|row| row.policies[1].violations).sum();
             assert!(violations > 0, "the slow corners violate the LUT");
+        }
+
+        // One failing `(stage, class)` group: the multiplier's execute path
+        // runs far slower than the LUT assumes. Only the entries carrying
+        // it fall back to the exact path; the seed's other entries stay
+        // proven.
+        let slow_mul = |model: TimingModel| {
+            let (stage, class) = (Stage::Execute, TimingClass::Mul);
+            let profile = model.profile().with_path_group(
+                stage,
+                class,
+                model.worst_case_ps(stage, class) * 1.5,
+                model.profile().spread(stage, class),
+            );
+            TimingModel::new(
+                profile,
+                model.library().clone(),
+                model.operating_point().voltage_mv,
+            )
+            .expect("same operating point")
+        };
+        for (rows, proven, scalar) in replay_banked_and_scalar(&config, slow_mul) {
+            assert_eq!(rows, scalar);
+            assert!(
+                proven.table > 0 && proven.table < rows[0].cycles,
+                "{} of {} cycles proven",
+                proven.table,
+                rows[0].cycles
+            );
+            let violations: u64 = rows.iter().map(|row| row.policies[1].violations).sum();
+            assert!(violations > 0, "the slow multiplier violates the LUT");
         }
     }
 

@@ -643,16 +643,32 @@ fn corrupt_cache_entries_are_quarantined_with_a_structured_warning() {
 }
 
 /// `repro bench`'s bound-proven replay counters at the CI configuration
-/// (100 seeds x 8 corners, seed 7). They are deterministic work counters,
-/// so they are pinned exactly: a silently disabled skip (or a proof that
-/// suddenly covers more than it can) shows up here even when the timings
-/// cannot tell.
+/// (100 seeds x 8 corners, seed 7), steady and under the storm-and-fault
+/// scenario of the CI gate. They are deterministic work counters, so they
+/// are pinned exactly: a silently disabled skip (or a proof that suddenly
+/// covers more than it can) shows up here even when the timings cannot
+/// tell.
 const PROVEN_TABLE_CYCLES_100X8_SEED7: u64 = 68_618;
 const PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 38_702;
+const PERTURBED_FAULTS: &str =
+    "seed=1,droop-rate=0.3,spike-rate=0.01,droop-mag=0.15,spike-mag=0.25,penalty=8,detect-window=0.1";
+const PERTURBED_INTERRUPTS: &str = "seed=1,rate=0.002,timer=150,penalty=4,surge=0.25";
+const PERTURBED_PROVEN_TABLE_CYCLES_100X8_SEED7: u64 = 49_443;
+const PERTURBED_PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 35_181;
+
+/// One `key=value` counter of `repro bench`'s stdout.
+fn bench_counter(stdout: &str, key: &str) -> u64 {
+    stdout
+        .lines()
+        .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
+        .unwrap_or_else(|| panic!("`repro bench` printed no {key}:\n{stdout}"))
+        .parse()
+        .expect("counter is an integer")
+}
 
 #[test]
 fn bench_proven_counters_are_thread_invariant_and_pinned() {
-    let args = [
+    let steady = [
         "bench",
         "--seeds",
         "100",
@@ -663,29 +679,52 @@ fn bench_proven_counters_are_thread_invariant_and_pinned() {
         "--runs",
         "1",
     ];
-    let counter = |stdout: &str, key: &str| -> u64 {
-        stdout
-            .lines()
-            .find_map(|line| line.strip_prefix(key)?.strip_prefix('='))
-            .unwrap_or_else(|| panic!("`repro bench` printed no {key}:\n{stdout}"))
-            .parse()
-            .expect("counter is an integer")
-    };
-    for threads in ["1", "4"] {
-        let stdout = repro_stdout(&args, threads);
-        // Every one of the 68,618 cycles is proven for the table-driven
-        // policies; 56.4 % are adaptive no-ops.
-        assert_eq!(
-            counter(&stdout, "bench.proven_table_cycles"),
+    let mut perturbed = steady.to_vec();
+    perturbed.extend([
+        "--faults",
+        PERTURBED_FAULTS,
+        "--interrupts",
+        PERTURBED_INTERRUPTS,
+    ]);
+    // Steady: every one of the 68,618 cycles is proven for the
+    // table-driven policies; 56.4 % are adaptive no-ops. Storm and faults:
+    // only unperturbed cycles may be proven.
+    let cases = [
+        (
+            "steady",
+            &steady[..],
             PROVEN_TABLE_CYCLES_100X8_SEED7,
-            "RAYON_NUM_THREADS={threads}"
-        );
-        assert_eq!(
-            counter(&stdout, "bench.proven_adaptive_cycles"),
             PROVEN_ADAPTIVE_CYCLES_100X8_SEED7,
-            "RAYON_NUM_THREADS={threads}"
-        );
-        assert_eq!(counter(&stdout, "bench.evaluated_cycles"), 68_618 * 8);
+            68_618 * 8,
+        ),
+        (
+            "storm+faults",
+            &perturbed[..],
+            PERTURBED_PROVEN_TABLE_CYCLES_100X8_SEED7,
+            PERTURBED_PROVEN_ADAPTIVE_CYCLES_100X8_SEED7,
+            73_700 * 8,
+        ),
+    ];
+    for (label, args, table, adaptive, evaluated) in cases {
+        for threads in ["1", "4"] {
+            let stdout = repro_stdout(args, threads);
+            let context = format!("{label}, RAYON_NUM_THREADS={threads}");
+            assert_eq!(
+                bench_counter(&stdout, "bench.proven_table_cycles"),
+                table,
+                "{context}"
+            );
+            assert_eq!(
+                bench_counter(&stdout, "bench.proven_adaptive_cycles"),
+                adaptive,
+                "{context}"
+            );
+            assert_eq!(
+                bench_counter(&stdout, "bench.evaluated_cycles"),
+                evaluated,
+                "{context}"
+            );
+        }
     }
 }
 

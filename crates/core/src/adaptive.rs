@@ -1015,18 +1015,19 @@ impl<'a> AdaptiveBank<'a> {
     ///   period below the request;
     /// * a non-negative margin — `learned ≥ bound × (1 + margin)` must
     ///   imply `learned ≥ bound`;
-    /// * no fault plan — faults perturb the lanes past the bound;
     /// * a bank of the same corner count whose delay fold is monotone
     ///   ([`CornerBank::bound_is_monotone`]).
     ///
-    /// The caller must additionally keep cycles whose lanes are perturbed
-    /// after evaluation (the interrupt-entry surge) on the exact path.
+    /// A fault plan does not void the proof: a proven cycle violates on no
+    /// lane, so the plan's recovery accounting has nothing to classify. The
+    /// caller must instead keep every cycle whose lanes are perturbed after
+    /// evaluation — fault factors other than exactly `1.0`, the
+    /// interrupt-entry surge — on the exact path.
     #[must_use]
     pub fn proof_ready(&self, bank: &CornerBank) -> bool {
         self.drift == Drift::None
             && matches!(self.generator, ClockGenerator::Ideal)
             && self.config.margin >= 0.0
-            && self.faults.is_none()
             && bank.corners() == self.corners
             && bank.bound_is_monotone()
     }
@@ -1046,7 +1047,9 @@ impl<'a> AdaptiveBank<'a> {
     /// cycle's lanes and run [`AdaptiveBank::observe_cycle_lanes_phased`].
     ///
     /// `worst` must be [`idca_timing::worst_stage_excitations`] of the
-    /// cycle's digest record. Always `false` unless
+    /// cycle's digest record, and the cycle must be unperturbed (no fault
+    /// factor other than `1.0`, no entry surge): the bound covers the lanes
+    /// as `bank` evaluates them. Always `false` unless
     /// [`AdaptiveBank::proof_ready`] holds for `bank`.
     pub fn observe_proven(
         &mut self,
@@ -1488,26 +1491,88 @@ mod tests {
         }
     }
 
-    /// Replays `digest` through `bank`, taking the bound-proven path on
-    /// every cycle [`AdaptiveBank::observe_proven`] accepts and the exact
-    /// lanes kernel otherwise; returns the number of proven cycles.
+    /// The per-cycle lane perturbations of a test replay: the fault plan's
+    /// factors and, on the cycles `entry` selects, a 1.25x entry surge
+    /// (faults first, the sweep's canonical order).
+    #[derive(Clone, Copy)]
+    struct Perturbation<'p> {
+        faults: Option<&'p FaultPlan>,
+        entry: fn(u64) -> bool,
+    }
+
+    const UNPERTURBED: Perturbation<'static> = Perturbation {
+        faults: None,
+        entry: |_| false,
+    };
+
+    impl Perturbation<'_> {
+        /// Whether `cycle`'s lanes leave the bank exactly as evaluated.
+        fn unperturbed(&self, cycle: u64) -> bool {
+            let faulted = self
+                .faults
+                .is_some_and(|plan| plan.stage_factors(cycle).iter().any(|&f| f != 1.0));
+            !faulted && !(self.entry)(cycle)
+        }
+
+        /// Runs the exact lanes kernel on one perturbed (or unperturbed)
+        /// cycle.
+        fn observe_exact(
+            &self,
+            bank: &mut AdaptiveBank<'_>,
+            evaluator: &mut idca_timing::BankEvaluator<'_>,
+            cycle: u64,
+            dc: &DigestCycle,
+        ) {
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            if let Some(plan) = self.faults {
+                lanes.apply_fault_factors(&plan.stage_factors(cycle));
+            }
+            let entry = (self.entry)(cycle);
+            if entry {
+                lanes.apply_surge(1.25);
+            }
+            bank.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+        }
+    }
+
+    /// Replays `digest` through `bank` under `perturbation`, offering every
+    /// unperturbed cycle to [`AdaptiveBank::observe_proven`] and running
+    /// the exact lanes kernel otherwise; returns the number of proven
+    /// cycles and of unperturbed cycles.
     fn replay_with_proof(
         bank: &mut AdaptiveBank<'_>,
         corners: &CornerBank,
         digest: &TimingDigest,
-    ) -> u64 {
+        perturbation: Perturbation<'_>,
+    ) -> (u64, u64) {
         let mut evaluator = corners.evaluator();
-        let mut proven = 0;
+        let (mut proven, mut unperturbed) = (0, 0);
         digest.for_each_cycle(|cycle, dc| {
             let worst = idca_timing::worst_stage_excitations(dc);
-            if bank.observe_proven(&dc.classes, &worst, corners) {
+            let quiet = perturbation.unperturbed(cycle);
+            unperturbed += u64::from(quiet);
+            if quiet && bank.observe_proven(&dc.classes, &worst, corners) {
                 proven += 1;
             } else {
-                bank.observe_cycle_lanes(cycle, dc, evaluator.cycle_lanes(cycle, dc));
+                perturbation.observe_exact(bank, &mut evaluator, cycle, dc);
             }
         });
         bank.finish(&digest.summary());
-        proven
+        (proven, unperturbed)
+    }
+
+    /// [`replay_with_proof`] without the proof: every cycle exact.
+    fn replay_exact(
+        bank: &mut AdaptiveBank<'_>,
+        corners: &CornerBank,
+        digest: &TimingDigest,
+        perturbation: Perturbation<'_>,
+    ) {
+        let mut evaluator = corners.evaluator();
+        digest.for_each_cycle(|cycle, dc| {
+            perturbation.observe_exact(bank, &mut evaluator, cycle, dc);
+        });
+        bank.finish(&digest.summary());
     }
 
     fn assert_same_tables(a: &AdaptiveBank<'_>, b: &AdaptiveBank<'_>) {
@@ -1531,26 +1596,65 @@ mod tests {
     fn proven_path_is_bit_identical_to_the_exact_kernel() {
         let digest = TimingDigest::from_trace(&long_trace());
         let config = AdaptiveConfig::default();
+        // Droops and spikes strong enough to violate (and back entries
+        // off) on some corners, plus short entry windows.
+        let spec = idca_timing::FaultSpec::parse(
+            "seed=3,droop-rate=0.3,droop-mag=0.3,spike-rate=0.02,spike-mag=0.5,penalty=4",
+        )
+        .unwrap();
+        let plan = FaultPlan::new(&spec);
+        let perturbations = [
+            ("steady", UNPERTURBED),
+            (
+                "faults",
+                Perturbation {
+                    faults: Some(&plan),
+                    entry: |_| false,
+                },
+            ),
+            (
+                "faults+entries",
+                Perturbation {
+                    faults: Some(&plan),
+                    entry: |cycle| cycle % 193 < 3,
+                },
+            ),
+        ];
         for corners in [1usize, 3, 4, 5, 8] {
             let models = varied_models(corners as u32, 0xB0D);
             let corner_bank = CornerBank::from_models(&models);
-            let new_bank =
-                || AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
-            let mut proven_bank = new_bank();
-            assert!(proven_bank.proof_ready(&corner_bank));
-            let proven = replay_with_proof(&mut proven_bank, &corner_bank, &digest);
-            let mut exact_bank = new_bank();
-            let mut evaluator = corner_bank.evaluator();
-            digest.for_each_cycle(|cycle, dc| {
-                exact_bank.observe_cycle_lanes(cycle, dc, evaluator.cycle_lanes(cycle, dc));
-            });
-            exact_bank.finish(&digest.summary());
-            assert!(
-                proven > digest.cycles() / 2,
-                "corners {corners}: {proven} proven"
-            );
-            assert_same_tables(&proven_bank, &exact_bank);
-            assert_eq!(proven_bank.into_outcomes(), exact_bank.into_outcomes());
+            for (label, perturbation) in perturbations {
+                let new_bank = || {
+                    let mut bank = AdaptiveBank::new(
+                        &models,
+                        &config,
+                        &ClockGenerator::Ideal,
+                        None,
+                        Drift::None,
+                    );
+                    bank.set_faults(perturbation.faults.copied());
+                    bank
+                };
+                let mut proven_bank = new_bank();
+                assert!(proven_bank.proof_ready(&corner_bank));
+                let (proven, unperturbed) =
+                    replay_with_proof(&mut proven_bank, &corner_bank, &digest, perturbation);
+                let mut exact_bank = new_bank();
+                replay_exact(&mut exact_bank, &corner_bank, &digest, perturbation);
+                assert!(
+                    proven > unperturbed / 2 && proven <= unperturbed,
+                    "{label} corners {corners}: {proven} of {unperturbed} proven"
+                );
+                if perturbation.faults.is_some() {
+                    assert!(unperturbed < digest.cycles(), "{label}: nothing perturbed");
+                }
+                assert_same_tables(&proven_bank, &exact_bank);
+                assert_eq!(
+                    proven_bank.into_outcomes(),
+                    exact_bank.into_outcomes(),
+                    "{label} corners {corners}"
+                );
+            }
         }
     }
 
@@ -1568,7 +1672,6 @@ mod tests {
             ..AdaptiveConfig::default()
         };
         let default = AdaptiveConfig::default();
-        let plan = FaultPlan::new(&idca_timing::FaultSpec::default());
         // One corner whose adder execute delay falls with excitation.
         let mut skewed = models.clone();
         let (stage, class) = (Stage::Execute, TimingClass::Add);
@@ -1587,13 +1690,12 @@ mod tests {
         let skewed_bank = CornerBank::from_models(&skewed);
         let ideal = &ClockGenerator::Ideal;
         let cases = [
-            ("drift", default, ideal, drift, None, &corner_bank),
+            ("drift", default, ideal, drift, &corner_bank),
             (
                 "quantized generator",
                 default,
                 &quantized,
                 Drift::None,
-                None,
                 &corner_bank,
             ),
             (
@@ -1601,35 +1703,15 @@ mod tests {
                 negative_margin,
                 ideal,
                 Drift::None,
-                None,
                 &corner_bank,
             ),
-            (
-                "fault plan",
-                default,
-                ideal,
-                Drift::None,
-                Some(plan),
-                &corner_bank,
-            ),
-            (
-                "negative spread",
-                default,
-                ideal,
-                Drift::None,
-                None,
-                &skewed_bank,
-            ),
+            ("negative spread", default, ideal, Drift::None, &skewed_bank),
         ];
-        for (label, config, generator, drift, faults, corner_bank) in cases {
-            let new_bank = || {
-                let mut bank = AdaptiveBank::new(&models, &config, generator, None, drift);
-                bank.set_faults(faults);
-                bank
-            };
+        for (label, config, generator, drift, corner_bank) in cases {
+            let new_bank = || AdaptiveBank::new(&models, &config, generator, None, drift);
             let mut bank = new_bank();
             assert!(!bank.proof_ready(corner_bank), "{label}");
-            let proven = replay_with_proof(&mut bank, corner_bank, &digest);
+            let (proven, _) = replay_with_proof(&mut bank, corner_bank, &digest, UNPERTURBED);
             assert_eq!(proven, 0, "{label}: no cycle may skip");
             let mut exact = new_bank();
             corner_bank.replay_digest(&digest, |cycle, dc, timings| {
@@ -1647,6 +1729,38 @@ mod tests {
             Drift::None,
         );
         assert!(!bank.proof_ready(&corner_bank));
+
+        // A fault plan is no walk-level precondition: the faulted bank is
+        // ready, and proves only the unperturbed cycles it is offered.
+        let spec = idca_timing::FaultSpec::parse("seed=8,droop-rate=0.5,droop-mag=0.6").unwrap();
+        let plan = FaultPlan::new(&spec);
+        let faulted = Perturbation {
+            faults: Some(&plan),
+            entry: |_| false,
+        };
+        let new_bank =
+            || AdaptiveBank::new(&models, &default, ideal, None, Drift::None).with_faults(plan);
+        let mut bank = new_bank();
+        assert!(bank.proof_ready(&corner_bank));
+        let (proven, unperturbed) = replay_with_proof(&mut bank, &corner_bank, &digest, faulted);
+        assert!(proven > 0 && proven <= unperturbed && unperturbed < digest.cycles());
+        let mut exact = new_bank();
+        replay_exact(&mut exact, &corner_bank, &digest, faulted);
+        let exact = exact.into_outcomes();
+        assert!(exact.iter().any(|o| o.violations > 0), "the droops violate");
+        assert_eq!(bank.into_outcomes(), exact);
+        // The bound cannot see the factors: offered every cycle, it would
+        // wrongly prove faulted ones, which is why the caller gates them.
+        let mut ungated = new_bank();
+        let mut evaluator = corner_bank.evaluator();
+        digest.for_each_cycle(|cycle, dc| {
+            let worst = idca_timing::worst_stage_excitations(dc);
+            if !ungated.observe_proven(&dc.classes, &worst, &corner_bank) {
+                faulted.observe_exact(&mut ungated, &mut evaluator, cycle, dc);
+            }
+        });
+        ungated.finish(&digest.summary());
+        assert_ne!(ungated.into_outcomes(), exact);
     }
 
     #[test]
@@ -1659,7 +1773,7 @@ mod tests {
             AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
         let cached = |bank: &AdaptiveBank<'_>| bank.covered.iter().any(|&x| x > f64::NEG_INFINITY);
         assert!(!cached(&bank));
-        assert!(replay_with_proof(&mut bank, &corner_bank, &digest) > 0);
+        assert!(replay_with_proof(&mut bank, &corner_bank, &digest, UNPERTURBED).0 > 0);
         assert!(cached(&bank));
         bank.reset(None);
         assert!(!cached(&bank), "reset clears the proof cache");
@@ -1676,7 +1790,7 @@ mod tests {
         let slow_bank = CornerBank::from_models(&slow_models);
         for lanes_path in [true, false] {
             bank.reset(None);
-            replay_with_proof(&mut bank, &corner_bank, &digest);
+            replay_with_proof(&mut bank, &corner_bank, &digest, UNPERTURBED);
             assert!(cached(&bank));
             let before: u64 = bank.violations.iter().sum();
             let (cycle, dc) = (digest.cycles(), digest.pool()[0]);

@@ -79,5 +79,5 @@ pub use clockgen::ClockGenerator;
 pub use error::{CoreError, LutFormatError};
 pub use lut::{DelayLut, LutSource, Table2Row};
 pub use policy::{ClockPolicy, ExecuteOnly, GenieOracle, InstructionBased, StaticClock};
-pub use policy_bank::{PolicyBank, ProvenWalk};
+pub use policy_bank::PolicyBank;
 pub use sim::{replay_digest, replay_digest_banked, run_with_policy, PolicyObserver, RunOutcome};

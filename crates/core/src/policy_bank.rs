@@ -19,12 +19,16 @@
 //! request changes; [`PolicyBank::observe_actuals`] then reduces the cycle
 //! to a compare-and-count over the lanes.
 //!
-//! When a delay bound has proved a whole walk violation-free on every
-//! corner, the lanes carry nothing corner-specific but the realized
-//! periods: [`PolicyBank::absorb_proven_walk`] (corner-invariant requests,
-//! folded as one scalar [`ProvenWalk`]) and
-//! [`PolicyBank::absorb_proven_per_corner`] (the per-corner static period)
-//! replace the per-cycle lane work.
+//! A cycle a delay bound has proved violation-free on every corner moves
+//! nothing corner-specific but the realized-time sums, so
+//! [`PolicyBank::observe_proven`] accepts it in O(1): while the bank has
+//! only seen corner-invariant blocks, the realized-time sum and the min/max
+//! periods are the same on every lane and are kept as one scalar fold
+//! (broadcast by [`PolicyBank::finish`]); once a per-corner block arrives,
+//! the bank counts the cycles that share the current per-lane realized
+//! periods and adds them to the lanes, in cycle order, only when those
+//! periods change or the walk ends. The exact kernel feeds the same folds,
+//! so proven and exact cycles interleave freely.
 //!
 //! Every fold replicates [`PolicyObserver`](crate::PolicyObserver)'s
 //! arithmetic operation-for-operation (same order, same constants), so
@@ -37,37 +41,15 @@ use crate::ClockGenerator;
 use idca_pipeline::{CycleObserver, RunSummary};
 use idca_timing::{ActivityObserver, FaultPlan, Ps, LANE_WIDTH};
 
-/// Scalar fold of a walk whose request is the same on every corner and
-/// which a delay bound proved violation-free on every corner: every lane of
-/// a [`PolicyBank`] would accumulate exactly these values, so the walk
-/// keeps one copy ([`ProvenWalk::observe`] per cycle, in cycle order) and
-/// [`PolicyBank::absorb_proven_walk`] broadcasts it.
+/// Which kind of block the bank is in (the request cache key).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ProvenWalk {
-    total_time_ps: f64,
-    min_period_ps: Ps,
-    max_period_ps: Ps,
-}
-
-impl Default for ProvenWalk {
-    fn default() -> Self {
-        ProvenWalk {
-            total_time_ps: 0.0,
-            min_period_ps: Ps::INFINITY,
-            max_period_ps: 0.0,
-        }
-    }
-}
-
-impl ProvenWalk {
-    /// Folds one cycle's realized period — the scalar form of the lane
-    /// kernel's `total += realized` and min/max folds.
-    #[inline]
-    pub fn observe(&mut self, realized: Ps) {
-        self.total_time_ps += realized;
-        self.min_period_ps = self.min_period_ps.min(realized);
-        self.max_period_ps = self.max_period_ps.max(realized);
-    }
+enum Block {
+    /// No block since creation, reset or a fault-plan change.
+    None,
+    /// A corner-invariant block at this request.
+    Uniform(Ps),
+    /// A per-corner block (its requests are in `last_requests`).
+    PerCorner,
 }
 
 /// SoA-packed per-corner accumulators of one clock policy evaluated
@@ -78,12 +60,12 @@ impl ProvenWalk {
 /// For each digest cycle (or run of identical cycles): one call to
 /// [`PolicyBank::begin_block`] (corner-invariant request) or
 /// [`PolicyBank::begin_block_per_corner`] (per-corner requests, e.g. the
-/// per-corner static period), then one [`PolicyBank::observe_actuals`] per
-/// cycle with the lane-packed actual delays. A walk proved violation-free
-/// is instead absorbed whole by [`PolicyBank::absorb_proven_walk`] or
-/// [`PolicyBank::absorb_proven_per_corner`]. After the walk,
-/// [`PolicyBank::finish`] with the run summary and
-/// [`PolicyBank::into_outcomes`] to take the per-corner [`RunOutcome`]s.
+/// per-corner static period), then, per cycle, either one
+/// [`PolicyBank::observe_actuals`] with the lane-packed actual delays or —
+/// for a cycle a delay bound proved violation-free on every corner — one
+/// [`PolicyBank::observe_proven`]. After the walk, [`PolicyBank::finish`]
+/// with the run summary and [`PolicyBank::into_outcomes`] to take the
+/// per-corner [`RunOutcome`]s.
 #[derive(Debug, Clone)]
 pub struct PolicyBank<'a> {
     policy_name: String,
@@ -92,7 +74,9 @@ pub struct PolicyBank<'a> {
     corners: usize,
     padded: usize,
     // Per-lane accumulators, `padded` long; the padding lanes accumulate
-    // against zeroed requests/actuals and are never read back.
+    // against zeroed requests/actuals and are never read back. The
+    // realized-time and min/max lanes are only live in per-corner mode
+    // (see `per_corner`).
     total_time_ps: Vec<f64>,
     penalty_time_ps: Vec<f64>,
     min_period_ps: Vec<Ps>,
@@ -102,20 +86,35 @@ pub struct PolicyBank<'a> {
     recovered_cycles: Vec<u64>,
     replay_penalty_cycles: Vec<u64>,
     silent_risk_cycles: Vec<u64>,
-    // Block-hoisted per-lane values, refreshed by `begin_block*`:
-    // the generator-realized period, the violation threshold
-    // (`realized + 1e-9`), the fault detection limit
+    // Block-hoisted per-lane values: the generator-realized period, the
+    // violation threshold (`realized + 1e-9`), the fault detection limit
     // (`realized * (1 + detect_window)`) and the per-event penalty time
-    // (`realized * replay_penalty`).
+    // (`realized * replay_penalty`). `lanes_current` says whether they hold
+    // the current block: a corner-invariant block fills them only when an
+    // exact cycle needs them, so proven cycles never touch the lanes.
     realized: Vec<Ps>,
     threshold: Vec<Ps>,
     detect_limit: Vec<Ps>,
     penalty_step: Vec<f64>,
-    // Last block's requests, so a repeated request (the common case: the
+    lanes_current: bool,
+    // The current block, so a repeated request (the common case: the
     // table-driven policies emit a handful of distinct periods) skips the
-    // realize-and-derive refill.
+    // realize-and-derive refill; per-corner requests are kept in
+    // `last_requests`.
+    block: Block,
     last_requests: Vec<Ps>,
-    primed: bool,
+    // The current corner-invariant block's realized period.
+    uniform_realized: Ps,
+    // Whether a per-corner block arrived since creation or reset. Until
+    // then every lane's realized-time sum and min/max periods are the same,
+    // kept once in the scalar folds below; afterwards they live in the
+    // lanes, with `pending_cycles` cycles at the current realized lanes not
+    // yet added to `total_time_ps`.
+    per_corner: bool,
+    uniform_total_ps: f64,
+    uniform_min_ps: Ps,
+    uniform_max_ps: Ps,
+    pending_cycles: u64,
     outcomes: Option<Vec<RunOutcome>>,
 }
 
@@ -149,8 +148,15 @@ impl<'a> PolicyBank<'a> {
             threshold: vec![0.0; padded],
             detect_limit: vec![0.0; padded],
             penalty_step: vec![0.0; padded],
+            lanes_current: false,
+            block: Block::None,
             last_requests: vec![0.0; padded],
-            primed: false,
+            uniform_realized: 0.0,
+            per_corner: false,
+            uniform_total_ps: 0.0,
+            uniform_min_ps: Ps::INFINITY,
+            uniform_max_ps: 0.0,
+            pending_cycles: 0,
             outcomes: None,
         }
     }
@@ -173,7 +179,8 @@ impl<'a> PolicyBank<'a> {
         self.faults = faults;
         // The hoisted detect/penalty lanes depend on the spec: force a
         // refill on the next block.
-        self.primed = false;
+        self.block = Block::None;
+        self.lanes_current = false;
     }
 
     /// Number of (unpadded) corners the bank accumulates.
@@ -203,53 +210,82 @@ impl<'a> PolicyBank<'a> {
         self.recovered_cycles.fill(0);
         self.replay_penalty_cycles.fill(0);
         self.silent_risk_cycles.fill(0);
-        self.primed = false;
+        self.lanes_current = false;
+        self.block = Block::None;
+        self.uniform_realized = 0.0;
+        self.per_corner = false;
+        self.uniform_total_ps = 0.0;
+        self.uniform_min_ps = Ps::INFINITY;
+        self.uniform_max_ps = 0.0;
+        self.pending_cycles = 0;
         self.outcomes = None;
     }
 
     /// Starts a cycle (or a run of identical cycles) whose request is
     /// corner-invariant (the table-driven LUT policies decide from digest
     /// classes alone): unless the request repeats the previous one,
-    /// realizes it, broadcasts the hoisted threshold/detect/penalty values
-    /// across the lanes and folds the min/max periods.
+    /// realizes it and folds the min/max periods. O(1) while the bank has
+    /// seen no per-corner block; the hoisted threshold/detect/penalty lanes
+    /// are filled by the first exact cycle that needs them.
     #[inline]
     pub fn begin_block(&mut self, requested: Ps) {
-        if self.padded == 0 {
-            return;
-        }
         // Min/max folding is idempotent, so folding only when the realized
         // period actually changes (a request-cache miss) is bit-identical
         // to the scalar observer's per-cycle fold.
-        if !(self.primed && self.last_requests[0] == requested) {
-            let realized = self.generator.realize(requested);
-            self.fill_lanes_uniform(requested, realized);
+        if self.block == Block::Uniform(requested) {
+            return;
+        }
+        let realized = self.generator.realize(requested);
+        self.block = Block::Uniform(requested);
+        self.uniform_realized = realized;
+        if self.per_corner {
+            self.flush_pending();
+            self.fill_lanes_uniform();
             self.fold_min_max();
+        } else {
+            self.uniform_min_ps = self.uniform_min_ps.min(realized);
+            self.uniform_max_ps = self.uniform_max_ps.max(realized);
+            self.lanes_current = false;
         }
     }
 
     /// [`PolicyBank::begin_block`] with one request per corner (the static
     /// baseline clocks each corner at its own STA period). `requests` must
-    /// be [`PolicyBank::corners`] long.
+    /// be [`PolicyBank::corners`] long. The bank keeps its per-lane
+    /// realized-time and min/max folds in the lanes from here on.
     ///
     /// # Panics
     ///
     /// Panics if `requests.len() != self.corners()`.
     pub fn begin_block_per_corner(&mut self, requests: &[Ps]) {
         assert_eq!(requests.len(), self.corners, "one request per corner");
-        if !(self.primed && self.last_requests[..self.corners] == *requests) {
-            for lane in 0..self.padded {
-                let requested = requests.get(lane).copied().unwrap_or(0.0);
-                let realized = self.generator.realize(requested);
-                self.set_lane(lane, requested, realized);
-            }
-            self.primed = true;
-            self.fold_min_max();
+        if self.block == Block::PerCorner && self.last_requests[..self.corners] == *requests {
+            return;
         }
+        if self.per_corner {
+            self.flush_pending();
+        } else {
+            // Every lane holds the scalar folds so far: move them into the
+            // lanes.
+            self.per_corner = true;
+            self.total_time_ps.fill(self.uniform_total_ps);
+            self.min_period_ps.fill(self.uniform_min_ps);
+            self.max_period_ps.fill(self.uniform_max_ps);
+        }
+        for lane in 0..self.padded {
+            let requested = requests.get(lane).copied().unwrap_or(0.0);
+            let realized = self.generator.realize(requested);
+            self.set_lane(lane, requested, realized);
+        }
+        self.block = Block::PerCorner;
+        self.lanes_current = true;
+        self.fold_min_max();
     }
 
-    /// Broadcasts one realized request across every lane.
-    fn fill_lanes_uniform(&mut self, requested: Ps, realized: Ps) {
-        self.last_requests.fill(requested);
+    /// Broadcasts the current corner-invariant block's realized period
+    /// across every lane.
+    fn fill_lanes_uniform(&mut self) {
+        let realized = self.uniform_realized;
         self.realized.fill(realized);
         self.threshold.fill(realized + 1e-9);
         if let Some(plan) = &self.faults {
@@ -259,7 +295,7 @@ impl<'a> PolicyBank<'a> {
             self.penalty_step
                 .fill(realized * f64::from(spec.replay_penalty));
         }
-        self.primed = true;
+        self.lanes_current = true;
     }
 
     /// Writes one lane's hoisted block values.
@@ -291,6 +327,29 @@ impl<'a> PolicyBank<'a> {
         }
     }
 
+    /// Adds one cycle's realized period to the realized-time folds: the
+    /// scalar sum while every lane shares it, else a deferred lane add.
+    #[inline]
+    fn fold_realized_time(&mut self) {
+        if self.per_corner {
+            self.pending_cycles += 1;
+        } else {
+            self.uniform_total_ps += self.uniform_realized;
+        }
+    }
+
+    /// Adds the pending cycles' realized periods to the realized-time
+    /// lanes, one cycle at a time: every pending cycle ran at the current
+    /// realized lanes, so each lane's sum takes exactly the in-order adds
+    /// the scalar observer makes.
+    fn flush_pending(&mut self) {
+        for _ in 0..std::mem::take(&mut self.pending_cycles) {
+            for (total, &realized) in self.total_time_ps.iter_mut().zip(&self.realized) {
+                *total += realized;
+            }
+        }
+    }
+
     /// Accumulates one cycle: compares each lane's hoisted threshold
     /// against that lane's actual delay and advances the violation,
     /// recovery and realized-time accumulators. `actuals` must be
@@ -310,19 +369,21 @@ impl<'a> PolicyBank<'a> {
     pub fn observe_actuals(&mut self, actuals: &[Ps]) {
         let lanes = actuals.len();
         assert_eq!(lanes, self.padded, "lane-packed actual delays");
+        if !self.lanes_current {
+            self.fill_lanes_uniform();
+        }
+        self.fold_realized_time();
         match &self.faults {
             Some(plan) => {
                 let penalty = u64::from(plan.spec().replay_penalty);
                 let threshold = &self.threshold[..lanes];
                 let detect_limit = &self.detect_limit[..lanes];
                 let penalty_step = &self.penalty_step[..lanes];
-                let realized = &self.realized[..lanes];
                 let violations = &mut self.violations[..lanes];
                 let recovered = &mut self.recovered_cycles[..lanes];
                 let replayed = &mut self.replay_penalty_cycles[..lanes];
                 let silent = &mut self.silent_risk_cycles[..lanes];
                 let penalty_time = &mut self.penalty_time_ps[..lanes];
-                let total_time = &mut self.total_time_ps[..lanes];
                 for lane in 0..lanes {
                     let actual = actuals[lane];
                     let violated = threshold[lane] < actual;
@@ -335,20 +396,12 @@ impl<'a> PolicyBank<'a> {
                     // accumulator, so the select keeps the loop branch-free
                     // while matching the scalar observer's guarded add.
                     penalty_time[lane] += if detected { penalty_step[lane] } else { 0.0 };
-                    total_time[lane] += realized[lane];
                 }
             }
             None => {
-                let folds = self
-                    .violations
-                    .iter_mut()
-                    .zip(&mut self.total_time_ps)
-                    .zip(&self.threshold)
-                    .zip(&self.realized)
-                    .zip(actuals);
-                for ((((violations, total_time), &threshold), &realized), &actual) in folds {
+                let folds = self.violations.iter_mut().zip(&self.threshold).zip(actuals);
+                for ((violations, &threshold), &actual) in folds {
                     *violations += u64::from(threshold < actual);
-                    *total_time += realized;
                 }
             }
         }
@@ -372,46 +425,15 @@ impl<'a> PolicyBank<'a> {
         }
     }
 
-    /// Absorbs a whole walk that a delay bound proved violation-free on
-    /// every corner, at corner-invariant requests folded into `walk` —
-    /// bit-identical to [`PolicyBank::begin_block`] +
-    /// [`PolicyBank::observe_actuals`] per cycle: no lane violates, so only
-    /// the realized-time sums and the min/max folds move, and every lane's
-    /// in-order sum from `0.0` is the walk's scalar sum. Must be the only
-    /// input the bank received since it was created or reset.
-    pub fn absorb_proven_walk(&mut self, walk: &ProvenWalk) {
-        debug_assert!(self.total_time_ps.iter().all(|&t| t == 0.0));
-        let corners = self.corners;
-        self.total_time_ps[..corners].fill(walk.total_time_ps);
-        self.min_period_ps[..corners].fill(walk.min_period_ps);
-        self.max_period_ps[..corners].fill(walk.max_period_ps);
-    }
-
-    /// [`PolicyBank::absorb_proven_walk`] for a walk of `cycles` cycles at
-    /// per-corner constant requests (the static baseline): each lane adds
-    /// its realized period `cycles` times, in order, exactly as the
-    /// per-cycle kernel would. Must be the only input the bank received
-    /// since it was created or reset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `requests.len() != self.corners()`.
-    pub fn absorb_proven_per_corner(&mut self, requests: &[Ps], cycles: u64) {
-        assert_eq!(requests.len(), self.corners, "one request per corner");
-        debug_assert!(self.total_time_ps.iter().all(|&t| t == 0.0));
-        if cycles == 0 {
-            return;
-        }
-        for (lane, &requested) in requests.iter().enumerate() {
-            let realized = self.generator.realize(requested);
-            let mut total = 0.0;
-            for _ in 0..cycles {
-                total += realized;
-            }
-            self.total_time_ps[lane] = total;
-            self.min_period_ps[lane] = self.min_period_ps[lane].min(realized);
-            self.max_period_ps[lane] = self.max_period_ps[lane].max(realized);
-        }
+    /// Accumulates one cycle of the current block that a delay bound proved
+    /// violation-free on every corner — bit-identical to
+    /// [`PolicyBank::observe_actuals`] with actuals at or below every
+    /// lane's threshold: no violation, recovery or penalty lane moves, only
+    /// the realized-time sums do. O(1): the sum is the scalar fold or a
+    /// deferred lane add (see the [module docs](self)).
+    #[inline]
+    pub fn observe_proven(&mut self) {
+        self.fold_realized_time();
     }
 
     /// Derives the per-corner [`RunOutcome`]s from the accumulated lanes —
@@ -421,6 +443,13 @@ impl<'a> PolicyBank<'a> {
     /// activity once, outside the bank); callers that replay activity
     /// assign it onto the outcomes afterwards.
     pub fn finish(&mut self, summary: &RunSummary) {
+        if self.per_corner {
+            self.flush_pending();
+        } else {
+            self.total_time_ps.fill(self.uniform_total_ps);
+            self.min_period_ps.fill(self.uniform_min_ps);
+            self.max_period_ps.fill(self.uniform_max_ps);
+        }
         let mut activity = ActivityObserver::new();
         activity.finish(summary);
         let activity = activity.summary();
@@ -617,34 +646,98 @@ mod tests {
 
     #[test]
     fn proven_walks_are_bit_identical_to_the_lane_kernel() {
-        // A violation-free walk (actuals far below every request), fed once
-        // through the per-cycle kernel and once absorbed whole.
+        // Proven cycles (actuals far below every request) interleaved in
+        // runs of varying length with exact, violating, faulted and entry
+        // cycles, under corner-invariant, per-corner and alternating
+        // blocks; the oracle is one scalar observer per corner fed every
+        // cycle exactly.
+        #[derive(Debug, Clone, Copy)]
+        enum Blocks {
+            Uniform,
+            PerCorner,
+            Alternating,
+        }
         let digest = digest();
-        let generator = ClockGenerator::Ideal;
-        let lut = crate::DelayLut::from_model(&corner_models(1)[0]);
-        let policy = crate::InstructionBased::new(lut);
+        let generator = ClockGenerator::quantized_50ps();
+        let model = &corner_models(1)[0];
+        let policy = crate::InstructionBased::new(crate::DelayLut::from_model(model));
         let static_requests = [2100.0, 1990.5, 2222.25];
-        let mut uniform = PolicyBank::new("instruction-based", 3, &generator);
-        let mut per_corner = PolicyBank::new("static", 3, &generator);
-        let actuals = vec![100.0; uniform.padded_lanes()];
-        let mut walk = ProvenWalk::default();
-        digest.for_each_cycle(|cycle, dc| {
-            let requested = crate::ClockPolicy::digest_period_ps(&policy, cycle, dc);
-            uniform.begin_block(requested);
-            uniform.observe_actuals(&actuals);
-            per_corner.begin_block_per_corner(&static_requests);
-            per_corner.observe_actuals(&actuals);
-            walk.observe(generator.realize(requested));
-        });
-        let mut proven_uniform = PolicyBank::new("instruction-based", 3, &generator);
-        proven_uniform.absorb_proven_walk(&walk);
-        let mut proven_per_corner = PolicyBank::new("static", 3, &generator);
-        proven_per_corner.absorb_proven_per_corner(&static_requests, digest.cycles());
-        for (mut exact, mut proven) in [(uniform, proven_uniform), (per_corner, proven_per_corner)]
-        {
-            exact.finish(&digest.summary());
-            proven.finish(&digest.summary());
-            assert_eq!(exact.into_outcomes(), proven.into_outcomes());
+        let spec = FaultSpec::parse("seed=5,penalty=6,detect-window=0.2").unwrap();
+        let plan = FaultPlan::new(&spec);
+        for faults in [None, Some(&plan)] {
+            for blocks in [Blocks::Uniform, Blocks::PerCorner, Blocks::Alternating] {
+                let label = format!("{blocks:?} faults={}", faults.is_some());
+                let mut bank = PolicyBank::new("instruction-based", 3, &generator);
+                if let Some(plan) = faults {
+                    bank = bank.with_faults(*plan);
+                }
+                let mut scalar: Vec<PolicyObserver<'_>> = (0..3)
+                    .map(|_| {
+                        let observer = PolicyObserver::new(model, &policy, &generator);
+                        match faults {
+                            Some(plan) => observer.with_faults(plan),
+                            None => observer,
+                        }
+                    })
+                    .collect();
+                let mut proven = 0;
+                let mut actuals = vec![0.0; bank.padded_lanes()];
+                digest.for_each_cycle(|cycle, dc| {
+                    let uniform = match blocks {
+                        Blocks::Uniform => true,
+                        Blocks::PerCorner => false,
+                        Blocks::Alternating => (cycle / 7) % 2 == 0,
+                    };
+                    let requests = if uniform {
+                        let requested = crate::ClockPolicy::digest_period_ps(&policy, cycle, dc);
+                        bank.begin_block(requested);
+                        [requested; 3]
+                    } else {
+                        bank.begin_block_per_corner(&static_requests);
+                        static_requests
+                    };
+                    // Runs of proven cycles of varying length between the
+                    // exact ones.
+                    let kind = cycle.wrapping_mul(0x9E37_79B9) >> 7 & 7;
+                    let entry = kind == 5;
+                    for (lane, actual) in actuals.iter_mut().take(3).enumerate() {
+                        *actual = match kind {
+                            0..=3 => 100.0,
+                            // Inside the detection window on some lanes,
+                            // beyond it on others.
+                            4 | 5 => requests[lane] * (1.05 + 0.1 * lane as f64),
+                            6 => requests[lane] * 0.5,
+                            _ => requests[lane] * 1.6,
+                        };
+                    }
+                    if kind <= 3 {
+                        bank.observe_proven();
+                        proven += 1;
+                    } else if entry {
+                        bank.observe_actuals_entry(&actuals);
+                    } else {
+                        bank.observe_actuals(&actuals);
+                    }
+                    for (lane, observer) in scalar.iter_mut().enumerate() {
+                        let timing = idca_timing::CycleTiming {
+                            stage_delay_ps: [actuals[lane]; idca_pipeline::Stage::COUNT],
+                            max_delay_ps: actuals[lane],
+                            limiting_stage: idca_pipeline::Stage::Execute,
+                        };
+                        observer.observe_timing_prepared_phased(requests[lane], &timing, entry);
+                    }
+                });
+                assert!(proven > 0 && proven < digest.cycles(), "{label}");
+                bank.finish(&digest.summary());
+                let banked = bank.into_outcomes();
+                assert!(banked.iter().any(|o| o.violations > 0), "{label}");
+                assert!(banked.iter().any(|o| o.entry_violations > 0), "{label}");
+                for (corner, (mut observer, banked)) in scalar.into_iter().zip(&banked).enumerate()
+                {
+                    observer.finish(&digest.summary());
+                    assert_eq!(*banked, observer.into_outcome(), "{label} corner {corner}");
+                }
+            }
         }
     }
 

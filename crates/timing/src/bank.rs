@@ -271,14 +271,23 @@ impl CycleLanes {
     }
 
     /// Applies one cycle's fault factors in place — the lane form of
-    /// [`FaultPlan::faulted`]: each stage lane is rescaled by that stage's
-    /// factor and the per-corner maximum is re-folded in stage order with
-    /// the same strict-`>` reduction, so every lane stays bit-identical to
-    /// perturbing its [`CycleTiming`] individually. A cycle with no active
-    /// event leaves the lanes untouched.
+    /// [`FaultPlan::faulted`]; see [`CycleLanes::apply_fault_factors`].
     #[inline]
     pub fn apply_fault(&mut self, plan: &FaultPlan, cycle: u64) {
-        let factors = plan.stage_factors(cycle);
+        self.apply_fault_factors(&plan.stage_factors(cycle));
+    }
+
+    /// Applies already-evaluated fault factors (one
+    /// [`FaultPlan::stage_factors`] or [`FaultCursor`](crate::FaultCursor)
+    /// evaluation, so a replay that also inspects the factors evaluates
+    /// them once) in place: each stage lane is rescaled by that stage's
+    /// factor and the per-corner maximum is re-folded in stage order with
+    /// the same strict-`>` reduction, so every lane stays bit-identical to
+    /// perturbing its [`CycleTiming`] individually. Factors of exactly
+    /// `1.0` on every stage (a cycle with no active event) leave the lanes
+    /// untouched.
+    #[inline]
+    pub fn apply_fault_factors(&mut self, factors: &[f64; Stage::COUNT]) {
         if factors.iter().all(|&f| f == 1.0) {
             return;
         }
@@ -531,6 +540,37 @@ mod tests {
                 }
             }
         });
+    }
+
+    #[test]
+    fn evaluated_factors_apply_exactly_like_the_plan() {
+        let d = mixed_digest();
+        let bank = CornerBank::from_models(&varied_models(6, 0xFAC7));
+        let spec = crate::FaultSpec::parse(
+            "seed=4,droop-rate=0.5,droop-mag=0.4,spike-rate=0.1,spike-mag=0.6,shift-mag=0.05",
+        )
+        .unwrap();
+        let plan = crate::FaultPlan::new(&spec);
+        let mut by_plan = bank.evaluator();
+        let mut by_factors = bank.evaluator();
+        let mut faulted = 0;
+        d.for_each_cycle(|cycle, dc| {
+            let factors = plan.stage_factors(cycle);
+            faulted += u32::from(factors.iter().any(|&f| f != 1.0));
+            let expected = by_plan.cycle_lanes(cycle, dc);
+            expected.apply_fault(&plan, cycle);
+            let lanes = by_factors.cycle_lanes(cycle, dc);
+            lanes.apply_fault_factors(&factors);
+            let bits = |lanes: &CycleLanes| -> Vec<u64> {
+                let stages = Stage::ALL.iter().flat_map(|&s| lanes.stage_lanes(s));
+                stages
+                    .chain(lanes.max_lanes())
+                    .map(|v| v.to_bits())
+                    .collect()
+            };
+            assert_eq!(bits(lanes), bits(expected), "cycle {cycle}");
+        });
+        assert!(faulted > 0, "no cycle was faulted");
     }
 
     #[test]

@@ -308,30 +308,66 @@ impl FaultPlan {
     /// The per-stage delay multipliers of one cycle — the pure
     /// `(fault seed, cycle)` function every engine recomputes. Factors are
     /// always `>= 1.0` (faults only slow logic down) and compose as
-    /// droop × spike × shift per stage.
+    /// droop × spike × shift per stage. A replay walking cycles in order
+    /// gets the same factors cheaper from a [`FaultPlan::cursor`].
     #[must_use]
     pub fn stage_factors(&self, cycle: u64) -> [f64; Stage::COUNT] {
+        let weights = self.droop_weights(cycle / DROOP_WINDOW_CYCLES);
+        self.factors_in_window(cycle, weights.as_ref())
+    }
+
+    /// A cycle-ordered cursor over this plan's factors (see
+    /// [`FaultCursor`]).
+    #[must_use]
+    pub fn cursor(&self) -> FaultCursor<'_> {
+        FaultCursor {
+            plan: self,
+            window: None,
+            weights: None,
+        }
+    }
+
+    /// Voltage droop of one [`DROOP_WINDOW_CYCLES`] window: `None` when
+    /// the window carries no droop, else the hash-weighted per-stage share
+    /// of the droop — droops hit the long execute paths harder or softer
+    /// run by run.
+    fn droop_weights(&self, window: u64) -> Option<[f64; Stage::COUNT]> {
+        let spec = &self.spec;
+        if !(spec.droop_rate > 0.0 && spec.droop_mag > 0.0)
+            || hash01(spec.seed, window, DROOP_SALT) >= spec.droop_rate
+        {
+            return None;
+        }
+        let mut weights = [0.0; Stage::COUNT];
+        for (index, weight) in weights.iter_mut().enumerate() {
+            *weight = 0.5
+                + 0.5
+                    * hash01(
+                        spec.seed.wrapping_add(window),
+                        index as u64,
+                        DROOP_STAGE_SALT,
+                    );
+        }
+        Some(weights)
+    }
+
+    /// [`FaultPlan::stage_factors`] given the droop weights of the cycle's
+    /// window ([`FaultPlan::droop_weights`]).
+    fn factors_in_window(
+        &self,
+        cycle: u64,
+        droop_weights: Option<&[f64; Stage::COUNT]>,
+    ) -> [f64; Stage::COUNT] {
         let mut factors = [1.0; Stage::COUNT];
         let spec = &self.spec;
 
-        // Voltage droop: decided per window, ramping triangularly inside it
-        // (peak mid-window) with a hash-weighted per-stage share — droops
-        // hit the long execute paths harder or softer run by run.
-        if spec.droop_rate > 0.0 && spec.droop_mag > 0.0 {
-            let window = cycle / DROOP_WINDOW_CYCLES;
-            if hash01(spec.seed, window, DROOP_SALT) < spec.droop_rate {
-                let position = (cycle % DROOP_WINDOW_CYCLES) as f64 / DROOP_WINDOW_CYCLES as f64;
-                let shape = 1.0 - (2.0 * position - 1.0).abs();
-                for (index, factor) in factors.iter_mut().enumerate() {
-                    let weight = 0.5
-                        + 0.5
-                            * hash01(
-                                spec.seed.wrapping_add(window),
-                                index as u64,
-                                DROOP_STAGE_SALT,
-                            );
-                    *factor *= 1.0 + spec.droop_mag * shape * weight;
-                }
+        // Voltage droop: ramping triangularly inside its window (peak
+        // mid-window).
+        if let Some(weights) = droop_weights {
+            let position = (cycle % DROOP_WINDOW_CYCLES) as f64 / DROOP_WINDOW_CYCLES as f64;
+            let shape = 1.0 - (2.0 * position - 1.0).abs();
+            for (factor, &weight) in factors.iter_mut().zip(weights) {
+                *factor *= 1.0 + spec.droop_mag * shape * weight;
             }
         }
 
@@ -387,6 +423,34 @@ impl FaultPlan {
             max_delay_ps: max_delay,
             limiting_stage: limiting,
         }
+    }
+}
+
+/// Cycle-ordered cursor over a [`FaultPlan`]'s per-cycle factors, in the
+/// spirit of [`IrqCursor`](crate::IrqCursor): it keeps the droop
+/// activation and per-stage weights of the current
+/// [`DROOP_WINDOW_CYCLES`] window, so a forward walk hashes them once per
+/// window instead of once per cycle. Any query order is correct (a new
+/// window is simply recomputed); the factors are bit-identical to
+/// [`FaultPlan::stage_factors`].
+#[derive(Debug, Clone)]
+pub struct FaultCursor<'a> {
+    plan: &'a FaultPlan,
+    /// The window `weights` belongs to (`None` before the first query).
+    window: Option<u64>,
+    weights: Option<[f64; Stage::COUNT]>,
+}
+
+impl FaultCursor<'_> {
+    /// [`FaultPlan::stage_factors`] of `cycle`.
+    #[inline]
+    pub fn stage_factors(&mut self, cycle: u64) -> [f64; Stage::COUNT] {
+        let window = cycle / DROOP_WINDOW_CYCLES;
+        if self.window != Some(window) {
+            self.window = Some(window);
+            self.weights = self.plan.droop_weights(window);
+        }
+        self.plan.factors_in_window(cycle, self.weights.as_ref())
     }
 }
 
@@ -482,6 +546,59 @@ mod tests {
         }
         // A 25 % droop rate must actually perturb a visible share of cycles.
         assert!(perturbed > 100, "only {perturbed} of 2048 cycles perturbed");
+    }
+
+    #[test]
+    fn cursor_factors_are_bit_equal_to_stage_factors() {
+        let specs = [
+            droopy_spec(),
+            // Spikes only, dense enough to hit every stage many times.
+            FaultSpec {
+                seed: 11,
+                spike_rate: 0.2,
+                spike_mag: 0.7,
+                ..FaultSpec::default()
+            },
+            // Every window drooping, plus a shift whose onset lands inside
+            // the walk.
+            FaultSpec {
+                seed: 3,
+                droop_rate: 1.0,
+                droop_mag: 0.5,
+                shift_mag: 0.1,
+                ..FaultSpec::default()
+            },
+            // The benchmark's storm-sweep scenario.
+            FaultSpec::parse(
+                "seed=1,droop-rate=0.3,spike-rate=0.01,droop-mag=0.15,spike-mag=0.25,penalty=8,detect-window=0.1",
+            )
+            .expect("valid spec"),
+            FaultSpec::default(),
+        ];
+        for spec in specs {
+            let plan = FaultPlan::new(&spec);
+            let mut cursor = plan.cursor();
+            let mut perturbed = 0u32;
+            for cycle in 0..120_000 {
+                let factors = cursor.stage_factors(cycle);
+                let expected = plan.stage_factors(cycle);
+                assert_eq!(
+                    factors.map(f64::to_bits),
+                    expected.map(f64::to_bits),
+                    "{} cycle {cycle}",
+                    spec.describe()
+                );
+                perturbed += u32::from(factors.iter().any(|&f| f != 1.0));
+            }
+            assert_eq!(perturbed > 0, spec.perturbs(), "{}", spec.describe());
+            if spec.shift_mag > 0.0 {
+                assert!(plan.shift_onset() < 120_000);
+            }
+            // Out-of-order queries recompute the window and stay exact.
+            for cycle in [5_000, 17, 119_999, 64, 63, 0] {
+                assert_eq!(cursor.stage_factors(cycle), plan.stage_factors(cycle));
+            }
+        }
     }
 
     #[test]

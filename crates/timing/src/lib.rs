@@ -86,7 +86,9 @@ mod variation;
 pub use bank::{BankEvaluator, CornerBank, CycleLanes, LANE_WIDTH};
 pub use dta::{DtaObserver, DynamicTimingAnalysis};
 pub use eventlog::{Endpoint, EndpointEvent, EndpointId, EventLog};
-pub use fault::{FaultPlan, FaultSpec, FaultSpecError, DROOP_WINDOW_CYCLES, SHIFT_ONSET_HORIZON};
+pub use fault::{
+    FaultCursor, FaultPlan, FaultSpec, FaultSpecError, DROOP_WINDOW_CYCLES, SHIFT_ONSET_HORIZON,
+};
 pub use histogram::{Histogram, HistogramMergeError};
 pub use irq::{surged, IrqCursor, IrqTimeline};
 pub use library::{CellLibrary, LibraryError, OperatingPoint};
