@@ -668,6 +668,10 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
         "bench.proven_adaptive_cycles={}",
         timing.proven_adaptive_cycles
     );
+    println!(
+        "bench.deferred_learn_cycles={}",
+        timing.deferred_learn_cycles
+    );
 
     if write_json {
         let json = format!(
@@ -677,7 +681,8 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
              \"policy_replay_ms\": {:.3},\n  \"simulated_programs\": {},\n  \
              \"digest_cache_hits\": {},\n  \"jobs_per_sec\": {:.1},\n  \
              \"cycles_per_sec\": {:.0},\n  \"replay_cycle_corners_per_sec\": {:.0},\n  \
-             \"proven_table_cycles\": {},\n  \"proven_adaptive_cycles\": {}\n}}\n",
+             \"proven_table_cycles\": {},\n  \"proven_adaptive_cycles\": {},\n  \
+             \"deferred_learn_cycles\": {}\n}}\n",
             config.seeds,
             config.corners,
             config.master_seed,
@@ -695,6 +700,7 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
             replay_cycle_corners_per_sec,
             timing.proven_table_cycles,
             timing.proven_adaptive_cycles,
+            timing.deferred_learn_cycles,
         );
         std::fs::write(&out_path, json)
             .map_err(|error| format!("cannot write {out_path}: {error}"))?;

@@ -30,9 +30,12 @@
 //!    simulator, no per-corner `CycleTiming` structs and no per-corner
 //!    scalar state in the loop. Before the walk, each unique pool entry's
 //!    worst-case delay over the quantized dither levels is bounded once;
-//!    cycles the bound proves safe skip the delay lanes and violation
-//!    folds (the *bound-proven* path of `replay_seed_banked`), with every
-//!    precondition checked and the exact walk as the fallback.
+//!    cycles the bound proves safe skip the table-driven policies' delay
+//!    lanes and violation folds, and cycles the adaptive controllers'
+//!    own proof settles (from the cycle's actual excitations, deferring
+//!    their learns) skip the adaptive kernel — the *proven* path of
+//!    `replay_seed_banked`, with every precondition checked and the exact
+//!    walk as the fallback.
 //!
 //! The banked replay is bit-identical to the retained lane-by-lane path
 //! ([`pvt_sweep_lanewise`], which replays each `(digest, corner)` pair
@@ -61,8 +64,8 @@ use idca_pipeline::{
     SIMULATOR_VERSION,
 };
 use idca_timing::{
-    surged, worst_stage_excitations, CornerBank, FaultPlan, FaultSpec, IrqTimeline, ProfileKind,
-    Ps, PvtCorner, TimingModel, VariationModel, LANE_WIDTH,
+    stage_excitations, surged, worst_stage_excitations, CornerBank, FaultPlan, FaultSpec,
+    IrqTimeline, ProfileKind, Ps, PvtCorner, TimingModel, VariationModel, LANE_WIDTH,
 };
 use idca_workloads::suite::par_map;
 use std::cell::RefCell;
@@ -654,11 +657,16 @@ pub struct SweepTiming {
     /// once, not once per corner). Deterministic: independent of thread
     /// count, sharding and cache state.
     pub proven_table_cycles: u64,
-    /// Cycles whose adaptive controllers phase 2 replayed on the
-    /// bound-proven path (warm entries covering the cycle's worst-case
-    /// delay on every corner), summed over seeds. Deterministic like
-    /// `proven_table_cycles`.
+    /// Cycles whose adaptive controllers phase 2 replayed on the proven
+    /// path (no delay lanes: the cycle's actual excitations prove it
+    /// violation-free on every corner), summed over seeds. Deterministic
+    /// like `proven_table_cycles`.
     pub proven_adaptive_cycles: u64,
+    /// The subset of `proven_adaptive_cycles` that deferred at least one
+    /// learn (a cold entry, or a warm one the cycle's excitation outgrew)
+    /// instead of needing the delay lanes. Deterministic like
+    /// `proven_table_cycles`.
+    pub deferred_learn_cycles: u64,
 }
 
 impl SweepTiming {
@@ -1005,9 +1013,6 @@ struct ReplayScratch {
     /// the same guarded LUT, and cycle-invariant).
     lut_requests: Vec<Ps>,
     exec_requests: Vec<Ps>,
-    /// Per pool entry of the current seed (bounded walks only): the
-    /// corner-invariant worst-case blended excitation of every stage.
-    worst: Vec<[f64; Stage::COUNT]>,
     /// Per pool entry of the current seed: whether the delay bound proves
     /// the entry violation-free for all three table-driven policies on
     /// every corner (always `false` on an unbounded walk).
@@ -1067,7 +1072,6 @@ impl ReplayScratch {
             adaptive,
             lut_requests: Vec::with_capacity(POOL_ENTRIES_RESERVED),
             exec_requests: Vec::with_capacity(POOL_ENTRIES_RESERVED),
-            worst: Vec::with_capacity(POOL_ENTRIES_RESERVED),
             table_proven: Vec::with_capacity(POOL_ENTRIES_RESERVED),
             bound_lanes: vec![0.0; corners.next_multiple_of(LANE_WIDTH)],
         }
@@ -1097,12 +1101,12 @@ impl ReplayScratch {
     /// Derives one seed's per-pool-entry tables: the table-driven requests
     /// and, when `bank` is given (its delay fold must be monotone,
     /// [`CornerBank::bound_is_monotone`]; the caller checks that), the
-    /// delay bound. Per entry: the worst-case excitations (kept for the
-    /// adaptive proof). Per `(stage, class)` the seed exercises: one
+    /// delay bound. Per `(stage, class)` the seed exercises: one
     /// [`CornerBank::delays_from_excitation`] pass at the largest
-    /// worst-case excitation of the entries carrying that class in that
-    /// stage, reduced to its largest lane, or to "unbounded" when some lane
-    /// exceeds its corner's static threshold. An entry is table-proven when
+    /// worst-case excitation ([`worst_stage_excitations`]) of the entries
+    /// carrying that class in that stage, reduced to its largest lane, or
+    /// to "unbounded" when some lane exceeds its corner's static
+    /// threshold. An entry is table-proven when
     /// the bounds of its six groups fit its instruction-based and
     /// execute-only thresholds, so a failing group sends only its own
     /// entries to the exact path.
@@ -1115,7 +1119,6 @@ impl ReplayScratch {
         let corners = contexts.len();
         self.lut_requests.clear();
         self.exec_requests.clear();
-        self.worst.clear();
         self.table_proven.clear();
         for dc in digest.pool() {
             // The table-driven requests ignore the cycle index.
@@ -1135,7 +1138,6 @@ impl ReplayScratch {
                 let group = &mut group_worst[stage.index()][dc.classes[stage.index()].index()];
                 *group = group.max(worst[stage.index()]);
             }
-            self.worst.push(worst);
         }
         // Same compare as the banks: a lane violates when
         // `realized + 1e-9 < actual`, and every actual is at most its
@@ -1199,12 +1201,14 @@ fn with_replay_scratch<R>(
 }
 
 /// Work counters of one seed's bound-proven replay (see
-/// [`SweepTiming::proven_table_cycles`] and
-/// [`SweepTiming::proven_adaptive_cycles`]).
+/// [`SweepTiming::proven_table_cycles`],
+/// [`SweepTiming::proven_adaptive_cycles`] and
+/// [`SweepTiming::deferred_learn_cycles`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct ProvenCycles {
     table: u64,
     adaptive: u64,
+    deferred: u64,
 }
 
 /// Phase 2 worker of the corner-batched engine: replays one seed's digest
@@ -1227,12 +1231,17 @@ struct ProvenCycles {
 /// its lanes are exactly what the bank evaluates, so the bound holds. On
 /// an unperturbed cycle whose entry the bound proves violation-free, the
 /// table-driven policies fold only their realized periods
-/// ([`PolicyBank::observe_proven`], O(1)); the adaptive bank skips every
-/// unperturbed cycle its warm entries cover
-/// ([`AdaptiveBank::observe_proven`]); a cycle both proofs settle needs no
-/// dither hash and no delay lanes at all. Perturbed cycles, unproven
-/// entries and every walk whose walk-level preconditions fail take the
-/// exact path, bit-identical either way (pinned by
+/// ([`PolicyBank::observe_proven`], O(1)). The adaptive bank proves an
+/// unperturbed cycle from its six actual blended excitations
+/// ([`AdaptiveBank::observe_proven`]): covered by warm entries, padded to
+/// the static period while an entry warms up, or within the predicted
+/// request — its learns are deferred and settled
+/// ([`AdaptiveBank::settle`]) before an exact cycle reads the entry. The
+/// excitations are evaluated once per cycle and feed the lanes too
+/// ([`idca_timing::BankEvaluator::lanes_at`]); a cycle both proofs settle
+/// needs no delay lanes at all. Perturbed cycles, unproven entries and
+/// every walk whose walk-level preconditions fail take the exact path,
+/// bit-identical either way (pinned by
 /// `crates/bench/tests/proven_replay_property.rs` and the unit tests
 /// below).
 ///
@@ -1279,11 +1288,14 @@ fn replay_seed_banked(
                 .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
             let unperturbed = factors.is_none() && !entry;
             let table_proven = unperturbed && scratch.table_proven[id];
+            // One excitation evaluation per cycle feeds both the adaptive
+            // proof and the lanes.
+            let excitations = stage_excitations(cycle, dc);
             let adaptive_proven = unperturbed
                 && adaptive_proof
                 && scratch
                     .adaptive
-                    .observe_proven(&dc.classes, &scratch.worst[id], bank);
+                    .observe_proven(&dc.classes, &excitations, bank);
             scratch.bank_lut.begin_block(scratch.lut_requests[id]);
             scratch.bank_exec.begin_block(scratch.exec_requests[id]);
             if table_proven {
@@ -1299,7 +1311,7 @@ fn replay_seed_banked(
             // The evaluated cycle stays in structure-of-arrays form end to
             // end: no per-corner `CycleTiming` structs are built on the hot
             // path.
-            let lanes = evaluator.cycle_lanes(cycle, dc);
+            let lanes = evaluator.lanes_at(&dc.classes, &excitations);
             if let Some(factors) = &factors {
                 // The same pure `(fault seed, cycle)` factors the scalar
                 // paths apply, so the lanes stay bit-identical to them.
@@ -1325,11 +1337,13 @@ fn replay_seed_banked(
                 }
             }
             if !adaptive_proven {
+                scratch.adaptive.settle(&dc.classes, bank);
                 scratch
                     .adaptive
                     .observe_cycle_lanes_phased(cycle, dc, lanes, entry);
             }
         });
+        proven.deferred = scratch.adaptive.deferred_learn_cycles();
 
         let summary = digest.summary();
         scratch.bank_static.finish(&summary);
@@ -1810,6 +1824,7 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
     let policy_replay = timed_jobs.iter().map(|(_, _, d)| *d).sum();
     let proven_table_cycles = timed_jobs.iter().map(|(_, p, _)| p.table).sum();
     let proven_adaptive_cycles = timed_jobs.iter().map(|(_, p, _)| p.adaptive).sum();
+    let deferred_learn_cycles = timed_jobs.iter().map(|(_, p, _)| p.deferred).sum();
     let outcomes: Vec<SweepJobOutcome> = timed_jobs
         .into_iter()
         .flat_map(|(rows, _, _)| rows)
@@ -1827,6 +1842,7 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
             digest_cache_hits,
             proven_table_cycles,
             proven_adaptive_cycles,
+            deferred_learn_cycles,
         },
     ))
 }
@@ -1912,6 +1928,7 @@ pub fn pvt_sweep_lanewise_timed(
             digest_cache_hits: 0,
             proven_table_cycles: 0,
             proven_adaptive_cycles: 0,
+            deferred_learn_cycles: 0,
         },
     ))
 }
@@ -2140,10 +2157,12 @@ mod tests {
         for (rows, proven, scalar) in replay_banked_and_scalar(&config, |model| model) {
             assert_eq!(rows, scalar);
             // The guarded LUT covers every corner: the table-driven
-            // policies are proven on every cycle, and warm adaptive
-            // entries cover a share of them.
+            // policies are proven on every cycle, and the adaptive proof
+            // (warm covered entries, static-padded cold cycles, deferred
+            // learns) settles at most as many.
             assert_eq!(proven.table, rows[0].cycles);
-            assert!(proven.adaptive > 0 && proven.adaptive < proven.table);
+            assert!(proven.adaptive > 0 && proven.adaptive <= proven.table);
+            assert!(proven.deferred > 0 && proven.deferred <= proven.adaptive);
         }
     }
 

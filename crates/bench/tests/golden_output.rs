@@ -642,19 +642,21 @@ fn corrupt_cache_entries_are_quarantined_with_a_structured_warning() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// `repro bench`'s bound-proven replay counters at the CI configuration
+/// `repro bench`'s proven replay counters at the CI configuration
 /// (100 seeds x 8 corners, seed 7), steady and under the storm-and-fault
 /// scenario of the CI gate. They are deterministic work counters, so they
 /// are pinned exactly: a silently disabled skip (or a proof that suddenly
 /// covers more than it can) shows up here even when the timings cannot
 /// tell.
 const PROVEN_TABLE_CYCLES_100X8_SEED7: u64 = 68_618;
-const PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 38_702;
+const PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 68_599;
+const DEFERRED_LEARN_CYCLES_100X8_SEED7: u64 = 17_794;
 const PERTURBED_FAULTS: &str =
     "seed=1,droop-rate=0.3,spike-rate=0.01,droop-mag=0.15,spike-mag=0.25,penalty=8,detect-window=0.1";
 const PERTURBED_INTERRUPTS: &str = "seed=1,rate=0.002,timer=150,penalty=4,surge=0.25";
 const PERTURBED_PROVEN_TABLE_CYCLES_100X8_SEED7: u64 = 49_443;
-const PERTURBED_PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 35_181;
+const PERTURBED_PROVEN_ADAPTIVE_CYCLES_100X8_SEED7: u64 = 49_439;
+const PERTURBED_DEFERRED_LEARN_CYCLES_100X8_SEED7: u64 = 12_333;
 
 /// One `key=value` counter of `repro bench`'s stdout.
 fn bench_counter(stdout: &str, key: &str) -> u64 {
@@ -687,14 +689,16 @@ fn bench_proven_counters_are_thread_invariant_and_pinned() {
         PERTURBED_INTERRUPTS,
     ]);
     // Steady: every one of the 68,618 cycles is proven for the
-    // table-driven policies; 56.4 % are adaptive no-ops. Storm and faults:
-    // only unperturbed cycles may be proven.
+    // table-driven policies, and all but the 19 that violate (or may) for
+    // the adaptive controllers, 17,794 of them by deferring a learn. Storm
+    // and faults: only unperturbed cycles may be proven.
     let cases = [
         (
             "steady",
             &steady[..],
             PROVEN_TABLE_CYCLES_100X8_SEED7,
             PROVEN_ADAPTIVE_CYCLES_100X8_SEED7,
+            DEFERRED_LEARN_CYCLES_100X8_SEED7,
             68_618 * 8,
         ),
         (
@@ -702,10 +706,11 @@ fn bench_proven_counters_are_thread_invariant_and_pinned() {
             &perturbed[..],
             PERTURBED_PROVEN_TABLE_CYCLES_100X8_SEED7,
             PERTURBED_PROVEN_ADAPTIVE_CYCLES_100X8_SEED7,
+            PERTURBED_DEFERRED_LEARN_CYCLES_100X8_SEED7,
             73_700 * 8,
         ),
     ];
-    for (label, args, table, adaptive, evaluated) in cases {
+    for (label, args, table, adaptive, deferred, evaluated) in cases {
         for threads in ["1", "4"] {
             let stdout = repro_stdout(args, threads);
             let context = format!("{label}, RAYON_NUM_THREADS={threads}");
@@ -717,6 +722,11 @@ fn bench_proven_counters_are_thread_invariant_and_pinned() {
             assert_eq!(
                 bench_counter(&stdout, "bench.proven_adaptive_cycles"),
                 adaptive,
+                "{context}"
+            );
+            assert_eq!(
+                bench_counter(&stdout, "bench.deferred_learn_cycles"),
+                deferred,
                 "{context}"
             );
             assert_eq!(

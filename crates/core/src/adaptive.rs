@@ -443,7 +443,7 @@ fn table_offset(padded: usize, stage: Stage, class: TimingClass) -> usize {
 }
 
 /// Index of one `(stage, class)` entry in the [`AdaptiveBank`]'s per-entry
-/// scalar tables (observation counts, bound-proof cache).
+/// scalar tables (observation counts, proof caches, deferred learns).
 fn entry_index(stage: Stage, class: TimingClass) -> usize {
     stage.index() * TimingClass::COUNT + class.index()
 }
@@ -475,7 +475,8 @@ pub struct AdaptiveBank<'a> {
     static_period: Vec<Ps>,
     /// Learned-table lanes, `(stage, class)`-major: entry
     /// `(stage.index() * TimingClass::COUNT + class.index()) * padded + lane`
-    /// is corner `lane`'s running maximum of `observed × (1 + margin)`.
+    /// is corner `lane`'s running maximum of `observed × (1 + margin)` —
+    /// once the entry's deferred learn (`pending`) is settled.
     learned: Vec<Ps>,
     /// Observation counters, one per `(stage, class)` entry (index
     /// `stage.index() * TimingClass::COUNT + class.index()`). Every observe
@@ -485,13 +486,28 @@ pub struct AdaptiveBank<'a> {
     observations: Vec<u64>,
     /// Bound-proof cache, one scalar per `(stage, class)` entry (same
     /// index as `observations`): the largest blended excitation `x` for
-    /// which `learned ≥ delays_from_excitation(x) × (1 + margin)` has been
-    /// verified on every lane (`-inf` = nothing verified). Learned values
-    /// only grow between violations, so a verified excitation stays covered
-    /// until a violation (whose capped backoff may shrink an entry) or a
-    /// reset clears the cache.
+    /// which `learned ≥ delays_from_excitation(x) × (1 + margin)` holds on
+    /// every lane (`-inf` = nothing verified), so a learn at or below it is
+    /// a no-op. Learned values only grow between violations, so a verified
+    /// excitation stays covered until a violation (whose capped backoff may
+    /// shrink an entry) or a reset clears the cache.
     covered: Vec<f64>,
-    /// Scratch lanes (`padded` long) for extending `covered`.
+    /// Deferred learns, one scalar per entry: the largest blended
+    /// excitation a proven cycle observed on the entry since its lanes were
+    /// last settled (`-inf` = none). On a violation-free cycle the learn
+    /// `learned = max(learned, delay(x) × (1 + margin))` is monotone in `x`
+    /// (see [`AdaptiveBank::proof_ready`]), so any run of them equals one
+    /// fold at their largest `x` — applied by
+    /// [`AdaptiveBank::settle`] before the entry's lanes are next read.
+    pending: Vec<f64>,
+    /// Static-fit cache, one scalar per entry: the largest excitation whose
+    /// delay lanes have been verified to fit every corner's static period
+    /// (the bank's own compare, `static + 1e-9 ≥ delay`), so a cold cycle
+    /// padded to the static period cannot violate on that stage. Depends on
+    /// the static periods and the corner bank only, so only a reset clears
+    /// it.
+    fits_static: Vec<f64>,
+    /// Scratch lanes (`padded` long) for one delay-bound evaluation.
     bound: Vec<Ps>,
     faults: Option<FaultPlan>,
     total_time: Vec<f64>,
@@ -501,18 +517,21 @@ pub struct AdaptiveBank<'a> {
     recovered_cycles: Vec<u64>,
     replay_penalty_cycles: Vec<u64>,
     silent_risk_cycles: Vec<u64>,
-    warmup_cycles: Vec<u64>,
-    // Per-cycle scratch, reused across the whole walk.
+    /// Cycles at the static period while entries warmed up. Warmth is a
+    /// per-entry fact, so this count is the same on every lane.
+    warmup_cycles: u64,
+    /// Proven cycles that deferred at least one learn (see
+    /// [`AdaptiveBank::deferred_learn_cycles`]).
+    deferred_cycles: u64,
+    /// Per-cycle predicted request lanes (`padded` long), reused across the
+    /// whole walk.
     requested: Vec<Ps>,
-    warm: Vec<bool>,
-    realized: Vec<Ps>,
-    violated: Vec<bool>,
-    // Lanes-path scratch (`padded` long): the realized period of violated
+    // Exact-kernel scratch (`padded` long): the realized period of violated
     // lanes, `+inf` otherwise, so the adapt pass's backoff test is one
     // `f64` compare. Padding lanes stay `+inf` forever.
     violation_limit: Vec<Ps>,
-    // Lanes-path constant (`padded` long): `2 x static_period` per corner,
-    // the adapt pass's backoff cap (padding lanes 0).
+    // Exact-kernel constant (`padded` long): `2 x static_period` per
+    // corner, the adapt pass's backoff cap (padding lanes 0).
     backoff_cap: Vec<Ps>,
     outcomes: Option<Vec<AdaptiveOutcome>>,
 }
@@ -541,8 +560,8 @@ impl<'a> AdaptiveBank<'a> {
 
     /// [`AdaptiveBank::new`] from the corners' static periods alone — the
     /// only model parameter the controllers consume (the dynamic delays
-    /// arrive pre-evaluated through
-    /// [`AdaptiveBank::observe_digest_timed`]), so callers that already
+    /// arrive pre-evaluated as [`CycleLanes`] through
+    /// [`AdaptiveBank::observe_cycle_lanes`]), so callers that already
     /// hold the periods (e.g. via [`CornerBank::static_period_ps`]) need
     /// not materialize a model slice.
     #[must_use]
@@ -556,17 +575,6 @@ impl<'a> AdaptiveBank<'a> {
         let corners = static_periods.len();
         let padded = corners.next_multiple_of(LANE_WIDTH);
         let table_len = Stage::COUNT * TimingClass::COUNT;
-        let mut learned = vec![0.0; table_len * padded];
-        let mut observations = vec![0u64; table_len];
-        if let Some(lut) = seed_lut {
-            for stage in Stage::ALL {
-                for class in TimingClass::ALL {
-                    let at = table_offset(padded, stage, class);
-                    learned[at..at + corners].fill(lut.delay_ps(stage, class));
-                }
-            }
-            observations.fill(config.warmup_observations);
-        }
         // Padded copy of the backoff cap (`2 x` each corner's static
         // period, exactly the scalar expression hoisted out of the adapt
         // loop); padding lanes cap at 0 and are never read back.
@@ -574,16 +582,18 @@ impl<'a> AdaptiveBank<'a> {
         for (cap, period) in backoff_cap.iter_mut().zip(&static_periods) {
             *cap = *period * 2.0;
         }
-        AdaptiveBank {
+        let mut bank = AdaptiveBank {
             config: *config,
             generator,
             drift,
             corners,
             padded,
             static_period: static_periods,
-            learned,
-            observations,
+            learned: vec![0.0; table_len * padded],
+            observations: vec![0; table_len],
             covered: vec![f64::NEG_INFINITY; table_len],
+            pending: vec![f64::NEG_INFINITY; table_len],
+            fits_static: vec![f64::NEG_INFINITY; table_len],
             bound: vec![0.0; padded],
             faults: None,
             total_time: vec![0.0; corners],
@@ -593,23 +603,23 @@ impl<'a> AdaptiveBank<'a> {
             recovered_cycles: vec![0; corners],
             replay_penalty_cycles: vec![0; corners],
             silent_risk_cycles: vec![0; corners],
-            warmup_cycles: vec![0; corners],
+            warmup_cycles: 0,
+            deferred_cycles: 0,
             requested: vec![0.0; padded],
-            warm: vec![true; padded],
-            realized: vec![0.0; corners],
-            violated: vec![false; corners],
             violation_limit: vec![Ps::INFINITY; padded],
             backoff_cap,
             outcomes: None,
-        }
+        };
+        bank.seed_tables(seed_lut);
+        bank
     }
 
-    /// Attaches a [`FaultPlan`] for the recovery accounting. The per-cycle
-    /// [`CycleTiming`]s handed to [`AdaptiveBank::observe_digest_timed`]
-    /// must already carry the plan's perturbation (apply
-    /// [`FaultPlan::faulted`] where the bank evaluator produces them) —
-    /// the bank itself only classifies violations as recovered or silent
-    /// risk, lane by lane, exactly like the scalar observer.
+    /// Attaches a [`FaultPlan`] for the recovery accounting. The
+    /// [`CycleLanes`] handed to [`AdaptiveBank::observe_cycle_lanes`]
+    /// must already carry the plan's perturbation
+    /// ([`CycleLanes::apply_fault_factors`]) — the bank itself only
+    /// classifies violations as recovered or silent risk, lane by lane,
+    /// exactly like the scalar observer.
     #[must_use]
     pub fn with_faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
@@ -630,15 +640,9 @@ impl<'a> AdaptiveBank<'a> {
         self.learned.fill(0.0);
         self.observations.fill(0);
         self.covered.fill(f64::NEG_INFINITY);
-        if let Some(lut) = seed_lut {
-            for stage in Stage::ALL {
-                for class in TimingClass::ALL {
-                    let at = table_offset(self.padded, stage, class);
-                    self.learned[at..at + self.corners].fill(lut.delay_ps(stage, class));
-                }
-            }
-            self.observations.fill(self.config.warmup_observations);
-        }
+        self.pending.fill(f64::NEG_INFINITY);
+        self.fits_static.fill(f64::NEG_INFINITY);
+        self.seed_tables(seed_lut);
         self.total_time.fill(0.0);
         self.penalty_time.fill(0.0);
         self.violations.fill(0);
@@ -646,8 +650,22 @@ impl<'a> AdaptiveBank<'a> {
         self.recovered_cycles.fill(0);
         self.replay_penalty_cycles.fill(0);
         self.silent_risk_cycles.fill(0);
-        self.warmup_cycles.fill(0);
+        self.warmup_cycles = 0;
+        self.deferred_cycles = 0;
         self.outcomes = None;
+    }
+
+    /// Pre-populates every entry from `seed_lut` with the warmup already
+    /// satisfied (field refinement of an existing characterization).
+    fn seed_tables(&mut self, seed_lut: Option<&DelayLut>) {
+        let Some(lut) = seed_lut else { return };
+        for stage in Stage::ALL {
+            for class in TimingClass::ALL {
+                let at = table_offset(self.padded, stage, class);
+                self.learned[at..at + self.corners].fill(lut.delay_ps(stage, class));
+            }
+        }
+        self.observations.fill(self.config.warmup_observations);
     }
 
     /// Number of corners in the bank (excluding padding lanes).
@@ -663,15 +681,25 @@ impl<'a> AdaptiveBank<'a> {
     }
 
     /// One corner's current learned table entry, in picoseconds — the
-    /// banked counterpart of [`AdaptiveObserver::learned_ps`].
+    /// banked counterpart of [`AdaptiveObserver::learned_ps`]. The entry's
+    /// deferred learn, if any, is settled first (which is why the read
+    /// takes the [`CornerBank`] the replay evaluates its delays with), so
+    /// the value is the one the per-cycle learn would hold.
     ///
     /// # Panics
     ///
     /// Panics if `corner >= self.corners()` (padding lanes are not
     /// corners).
     #[must_use]
-    pub fn learned_ps(&self, corner: usize, stage: Stage, class: TimingClass) -> Ps {
+    pub fn learned_ps(
+        &mut self,
+        bank: &CornerBank,
+        corner: usize,
+        stage: Stage,
+        class: TimingClass,
+    ) -> Ps {
         self.assert_corner(corner);
+        self.settle_entry(bank, stage, class);
         self.learned[table_offset(self.padded, stage, class) + corner]
     }
 
@@ -689,6 +717,15 @@ impl<'a> AdaptiveBank<'a> {
         self.observations[entry_index(stage, class)]
     }
 
+    /// Cycles since the last reset that [`AdaptiveBank::observe_proven`]
+    /// proved while deferring at least one learn (a cold entry, or a warm
+    /// one the cycle's excitation outgrew) — the proven cycles the
+    /// dither-worst cover alone could not settle.
+    #[must_use]
+    pub fn deferred_learn_cycles(&self) -> u64 {
+        self.deferred_cycles
+    }
+
     fn assert_corner(&self, corner: usize) {
         assert!(
             corner < self.corners,
@@ -697,148 +734,38 @@ impl<'a> AdaptiveBank<'a> {
         );
     }
 
-    /// Replays the predict/observe/update loop of **all** corners on one
-    /// digested cycle, given the per-corner [`CycleTiming`]s a
-    /// [`idca_timing::BankEvaluator`] produced for it (index = corner).
-    /// Bit-identical, lane by lane, to
-    /// [`AdaptiveObserver::observe_digest_timed`] on the matching model.
+    /// [`AdaptiveBank::observe_cycle_lanes_phased`] outside an interrupt
+    /// entry.
     ///
     /// # Panics
     ///
-    /// Panics if `timings` does not carry exactly one entry per corner.
-    pub fn observe_digest_timed(&mut self, cycle: u64, dc: &DigestCycle, timings: &[CycleTiming]) {
-        self.observe_digest_timed_phased(cycle, dc, timings, false);
-    }
-
-    /// [`AdaptiveBank::observe_digest_timed`] with the cycle's
-    /// interrupt-entry classification supplied by the caller — the bank
-    /// lives in `'static` worker scratch, so it cannot hold a borrowed
-    /// timeline cursor; the sweep derives the phase once per cycle from a
-    /// shared [`IrqCursor`] instead. The caller must also have applied the
-    /// entry surge to `timings` on entry cycles, exactly like the fault
-    /// factors.
-    pub fn observe_digest_timed_phased(
-        &mut self,
-        cycle: u64,
-        dc: &DigestCycle,
-        timings: &[CycleTiming],
-        entry: bool,
-    ) {
-        assert_eq!(
-            timings.len(),
-            self.corners,
-            "one CycleTiming per corner is required"
-        );
-        let padded = self.padded;
-
-        // 1. Predict: the controllers only see the (corner-invariant)
-        //    instruction classes; any entry still warming up keeps that
-        //    lane's whole cycle at its always-safe static period. The fold
-        //    walks each keyed entry's lanes contiguously in LANE_WIDTH
-        //    chunks.
-        self.requested.fill(0.0);
-        self.warm.fill(true);
-        for stage in Stage::ALL {
-            let class = dc.classes[stage.index()];
-            let at = table_offset(padded, stage, class);
-            let warm =
-                self.observations[entry_index(stage, class)] >= self.config.warmup_observations;
-            let lanes = self
-                .requested
-                .chunks_exact_mut(LANE_WIDTH)
-                .zip(self.warm.chunks_exact_mut(LANE_WIDTH))
-                .zip(self.learned[at..at + padded].chunks_exact(LANE_WIDTH));
-            for ((req4, warm4), learned4) in lanes {
-                for l in 0..LANE_WIDTH {
-                    if warm {
-                        req4[l] = req4[l].max(learned4[l]);
-                    } else {
-                        warm4[l] = false;
-                    }
-                }
-            }
-        }
-
-        // 2. Realize and observe: per corner, the same arithmetic (and the
-        //    same order of operations) as the scalar observer.
-        let drift_factor = self.drift.factor(cycle);
-        for (lane, timing) in timings.iter().enumerate() {
-            let mut requested = self.requested[lane];
-            if !self.warm[lane] {
-                requested = requested.max(self.static_period[lane]);
-                self.warmup_cycles[lane] += 1;
-            }
-            let realized = self.generator.realize(requested);
-            let actual_max = timing.max_delay_ps * drift_factor;
-            let violated = realized + 1e-9 < actual_max;
-            if violated {
-                self.violations[lane] += 1;
-                self.entry_violations[lane] += u64::from(entry);
-                if let Some(plan) = &self.faults {
-                    let spec = plan.spec();
-                    if actual_max <= realized * (1.0 + spec.detect_window) {
-                        self.recovered_cycles[lane] += 1;
-                        self.replay_penalty_cycles[lane] += u64::from(spec.replay_penalty);
-                        self.penalty_time[lane] += realized * f64::from(spec.replay_penalty);
-                    } else {
-                        self.silent_risk_cycles[lane] += 1;
-                    }
-                }
-            }
-            self.total_time[lane] += realized;
-            self.realized[lane] = realized;
-            self.violated[lane] = violated;
-        }
-        if self.violated.iter().any(|&violated| violated) {
-            // A violation may back an entry off (and the cap can shrink
-            // it), so no earlier bound proof can be trusted any more.
-            self.covered.fill(f64::NEG_INFINITY);
-        }
-
-        // 3. Adapt the in-flight entries, again lane-contiguously per keyed
-        //    `(stage, class)` entry.
-        for stage in Stage::ALL {
-            let class = dc.classes[stage.index()];
-            let at = table_offset(padded, stage, class);
-            self.observations[entry_index(stage, class)] += 1;
-            let learned = &mut self.learned[at..at + padded];
-            for (lane, timing) in timings.iter().enumerate() {
-                let observed = timing.stage_delay_ps[stage.index()] * drift_factor;
-                let target = observed * (1.0 + self.config.margin);
-                if target > learned[lane] {
-                    learned[lane] = target;
-                }
-                if self.violated[lane] && observed + 1e-9 > self.realized[lane] {
-                    // This lane's stage was (one of) the violators: back off
-                    // so the next occurrence gets headroom against drift.
-                    learned[lane] = (learned[lane] * (1.0 + self.config.violation_backoff))
-                        .min(self.static_period[lane] * 2.0);
-                }
-            }
-        }
-    }
-
-    /// [`AdaptiveBank::observe_digest_timed`] straight off a
-    /// [`idca_timing::BankEvaluator`]'s structure-of-arrays [`CycleLanes`]
-    /// — the hot entry point of the corner-batched sweep. No per-corner
-    /// [`CycleTiming`] structs are materialized: the observe pass folds the
-    /// contiguous max-delay lanes and the adapt pass folds each keyed
-    /// `(stage, class)` entry against the matching contiguous stage lanes.
-    /// Bit-identical, lane by lane, to the scalar observer (the hoisted
-    /// `(1 + margin)`-style factors are computed exactly as the scalar
-    /// expressions, just once per cycle instead of once per lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lanes' padded width differs from the bank's.
+    /// See [`AdaptiveBank::observe_cycle_lanes_phased`].
     pub fn observe_cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle, lanes: &CycleLanes) {
         self.observe_cycle_lanes_phased(cycle, dc, lanes, false);
     }
 
-    /// [`AdaptiveBank::observe_cycle_lanes`] with the cycle's
-    /// interrupt-entry classification supplied by the caller (see
-    /// [`AdaptiveBank::observe_digest_timed_phased`] for the convention:
-    /// the surge must already be in `lanes`, the phase comes in as a bool).
+    /// Replays the predict/observe/update loop of **all** corners on one
+    /// digested cycle straight off a [`idca_timing::BankEvaluator`]'s
+    /// structure-of-arrays [`CycleLanes`] — the exact kernel of the
+    /// corner-batched sweep. No per-corner [`CycleTiming`] structs are
+    /// materialized: the observe pass folds the contiguous max-delay lanes
+    /// and the adapt pass folds each keyed `(stage, class)` entry against
+    /// the matching contiguous stage lanes. Bit-identical, lane by lane, to
+    /// the scalar observer (the hoisted `(1 + margin)`-style factors are
+    /// computed exactly as the scalar expressions, just once per cycle
+    /// instead of once per lane).
+    ///
+    /// The bank lives in `'static` worker scratch, so it cannot hold a
+    /// borrowed timeline cursor: the caller supplies the cycle's
+    /// interrupt-entry classification as `entry`, and must already have
+    /// applied the fault factors and the entry surge to `lanes`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the lanes' padded width differs from the bank's, or if a
+    /// keyed entry still holds a deferred learn — after
+    /// [`AdaptiveBank::observe_proven`], call [`AdaptiveBank::settle`]
+    /// before this kernel.
     // `inline(never)` is load-bearing: letting this body inline into the
     // sweep's replay loop (alongside the evaluator and the three policy
     // banks) doubles the replay time at 100×8 — the merged loop spills
@@ -854,15 +781,21 @@ impl<'a> AdaptiveBank<'a> {
     ) {
         let padded = self.padded;
         assert_eq!(lanes.padded_lanes(), padded, "lane widths must match");
+        assert!(
+            self.is_settled(&dc.classes),
+            "a keyed entry holds a deferred learn: settle the cycle first"
+        );
         let corners = self.corners;
         if corners == 0 {
             return;
         }
         let generator = self.generator;
 
-        // 1. Predict — identical to `observe_digest_timed`; the observation
-        //    counts are per-entry scalars, so the fold touches only `f64`
-        //    lanes and the warm flag collapses to one bool per cycle.
+        // 1. Predict: the controllers only see the (corner-invariant)
+        //    instruction classes; any entry still warming up keeps the whole
+        //    cycle at the always-safe static period. The observation counts
+        //    are per-entry scalars, so the fold touches only `f64` lanes and
+        //    the warm flag collapses to one bool per cycle.
         let all_warm = self.predict_warm_lanes(&dc.classes);
 
         // 2. Realize and observe: the same arithmetic (and order of
@@ -880,7 +813,6 @@ impl<'a> AdaptiveBank<'a> {
         let actual_lanes = &lanes.max_lanes()[..corners];
         let requested = &self.requested[..corners];
         let static_period = &self.static_period[..corners];
-        let warmup_cycles = &mut self.warmup_cycles[..corners];
         let violations = &mut self.violations[..corners];
         let entry_violations = &mut self.entry_violations[..corners];
         let recovered = &mut self.recovered_cycles[..corners];
@@ -892,11 +824,11 @@ impl<'a> AdaptiveBank<'a> {
         // Warmth is lane-uniform (see the predict pass), so the cold-lane
         // padding is one loop-invariant branch the compiler unswitches.
         let cold = !all_warm;
+        self.warmup_cycles += u64::from(cold);
         let mut any_violated = false;
         for lane in 0..corners {
             let padded_up = requested[lane].max(static_period[lane]);
             let request = if cold { padded_up } else { requested[lane] };
-            warmup_cycles[lane] += u64::from(cold);
             let realized = generator.realize(request);
             let actual_max = actual_lanes[lane] * drift_factor;
             let violated = realized + 1e-9 < actual_max;
@@ -920,8 +852,9 @@ impl<'a> AdaptiveBank<'a> {
             violation_limit[lane] = if violated { realized } else { Ps::INFINITY };
         }
         if any_violated {
-            // See `observe_digest_timed_phased`: a backoff can shrink an
-            // entry, so every bound proof is void.
+            // A violation may back an entry off, and the cap can shrink it:
+            // no cached cover (which also lets a settle skip its fold) can
+            // be trusted any more.
             self.covered.fill(f64::NEG_INFINITY);
         }
 
@@ -970,9 +903,10 @@ impl<'a> AdaptiveBank<'a> {
         }
     }
 
-    /// The predict pass shared by the lanes kernel and the proven path:
+    /// The predict pass shared by the exact kernel and the proven path:
     /// folds the warm keyed entries' learned lanes into `requested` (from
-    /// 0) and returns whether all six keyed entries are warm.
+    /// 0) and returns whether all six keyed entries are warm. The warm
+    /// entries must be settled.
     #[inline]
     fn predict_warm_lanes(&mut self, classes: &[TimingClass; Stage::COUNT]) -> bool {
         let padded = self.padded;
@@ -1005,18 +939,21 @@ impl<'a> AdaptiveBank<'a> {
         all_warm
     }
 
-    /// Whether the bound-proven path ([`AdaptiveBank::observe_proven`]) may
-    /// skip any cycle of a replay whose delays come from `bank`. Every
+    /// Whether the proven path ([`AdaptiveBank::observe_proven`]) may
+    /// settle any cycle of a replay whose delays come from `bank`. Every
     /// precondition of the proof is checked here:
     ///
     /// * no drift — a drift factor would scale the observed delays past a
-    ///   bound computed without it;
+    ///   bound computed without it, and a deferred learn could not
+    ///   reproduce the per-cycle factor;
     /// * the ideal clock generator — a quantizing generator may realize a
     ///   period below the request;
     /// * a non-negative margin — `learned ≥ bound × (1 + margin)` must
-    ///   imply `learned ≥ bound`;
+    ///   imply `learned ≥ bound`, and `× (1 + margin)` must keep the order
+    ///   of two delays so that deferred learns fold to their largest;
     /// * a bank of the same corner count whose delay fold is monotone
-    ///   ([`CornerBank::bound_is_monotone`]).
+    ///   ([`CornerBank::bound_is_monotone`]), so a larger excitation never
+    ///   gives a smaller delay on any lane.
     ///
     /// A fault plan does not void the proof: a proven cycle violates on no
     /// lane, so the plan's recovery accounting has nothing to classify. The
@@ -1032,58 +969,143 @@ impl<'a> AdaptiveBank<'a> {
             && bank.bound_is_monotone()
     }
 
-    /// Tries to replay one digested cycle on the **bound-proven** path:
-    /// when all six keyed `(stage, class)` entries are warm and cover the
-    /// cycle's worst-case excitations (`learned ≥ bound × (1 + margin)` on
-    /// every lane, with `bound` the
-    /// [`CornerBank::delays_from_excitation`] lanes at `worst`), the cycle
-    /// cannot violate on any corner and cannot grow any learned entry. Then
-    /// only its visible effects are folded — the predicted period into
-    /// each lane's realized-time sum (in cycle order, so the sums stay
-    /// bit-identical to the exact kernel) and the six counter bumps — and
-    /// the method returns `true`. Otherwise it leaves every accumulator,
-    /// counter and learned value untouched (it may only have extended the
-    /// proof cache) and returns `false`: the caller must evaluate the
-    /// cycle's lanes and run [`AdaptiveBank::observe_cycle_lanes_phased`].
+    /// Tries to replay one digested cycle on the **proven** path, from the
+    /// cycle's blended excitations alone (no delay lanes). The cycle is
+    /// proven violation-free on every corner when each keyed entry is
+    /// either
     ///
-    /// `worst` must be [`idca_timing::worst_stage_excitations`] of the
-    /// cycle's digest record, and the cycle must be unperturbed (no fault
-    /// factor other than `1.0`, no entry surge): the bound covers the lanes
-    /// as `bank` evaluates them. Always `false` unless
-    /// [`AdaptiveBank::proof_ready`] holds for `bank`.
+    /// * warm and *covered* (`learned ≥ delay(x) × (1 + margin)` on every
+    ///   lane, with `delay` the [`CornerBank::delays_from_excitation`]
+    ///   lanes at its actual excitation `x`) — its learn is a no-op;
+    /// * on a cold cycle (some keyed entry still warming up, so every lane
+    ///   requests at least its static period), of a delay that fits every
+    ///   corner's static period — its learn is deferred;
+    /// * otherwise of a delay that fits the cycle's predicted request on
+    ///   every lane, under the bank's own compare — its learn is deferred.
+    ///
+    /// Then only the cycle's visible effects are folded now — the predicted
+    /// (or static-padded) period into each lane's realized-time sum, in
+    /// cycle order so the sums stay bit-identical to the exact kernel, the
+    /// warmup count and the six counter bumps — and each deferred learn
+    /// raises its entry's pending excitation; the method returns `true`.
+    /// Otherwise it leaves every accumulator, counter and pending learn
+    /// untouched (it may only have settled warm entries and extended the
+    /// proof caches) and returns `false`: the caller must
+    /// [`AdaptiveBank::settle`] the cycle, evaluate its lanes and run
+    /// [`AdaptiveBank::observe_cycle_lanes_phased`].
+    ///
+    /// `excitations` must be [`idca_timing::stage_excitations`] of the
+    /// cycle, and the cycle must be unperturbed (no fault factor other than
+    /// `1.0`, no entry surge): the proof covers the lanes as `bank`
+    /// evaluates them. Always `false` unless [`AdaptiveBank::proof_ready`]
+    /// holds for `bank`.
     pub fn observe_proven(
         &mut self,
         classes: &[TimingClass; Stage::COUNT],
-        worst: &[f64; Stage::COUNT],
+        excitations: &[f64; Stage::COUNT],
         bank: &CornerBank,
     ) -> bool {
         if self.corners == 0 || !self.proof_ready(bank) {
             return false;
         }
         let warmup = self.config.warmup_observations;
+        // Stages whose entry may still learn from this cycle.
+        let mut learns = [false; Stage::COUNT];
         for stage in Stage::ALL {
-            let class = classes[stage.index()];
-            if self.observations[entry_index(stage, class)] < warmup
-                || !self.covers(bank, stage, class, worst[stage.index()])
+            let (class, excitation) = (classes[stage.index()], excitations[stage.index()]);
+            if self.observations[entry_index(stage, class)] >= warmup {
+                // The predict pass reads the warm entries' lanes.
+                self.settle_entry(bank, stage, class);
+                learns[stage.index()] = !self.covers(bank, stage, class, excitation);
+            } else {
+                learns[stage.index()] = true;
+            }
+        }
+        let cold = !self.predict_warm_lanes(classes);
+        let corners = self.corners;
+        if cold {
+            // The exact kernel's static padding, in the same expression.
+            for (requested, &period) in self.requested[..corners]
+                .iter_mut()
+                .zip(&self.static_period[..corners])
+            {
+                *requested = requested.max(period);
+            }
+        }
+        for stage in Stage::ALL {
+            let (class, excitation) = (classes[stage.index()], excitations[stage.index()]);
+            if learns[stage.index()]
+                && !(cold && self.fits_static(bank, stage, class, excitation))
+                && !self.fits_request(bank, stage, class, excitation)
             {
                 return false;
             }
         }
-        let all_warm = self.predict_warm_lanes(classes);
-        debug_assert!(all_warm, "warmth was checked above");
+
         // The ideal generator realizes every request exactly, so the
-        // exact kernel's `total_time += realize(requested)` is this add.
-        let corners = self.corners;
+        // exact kernel's `total_time += realize(request)` is this add.
         for (total, &requested) in self.total_time[..corners]
             .iter_mut()
             .zip(&self.requested[..corners])
         {
             *total += requested;
         }
+        self.warmup_cycles += u64::from(cold);
         for stage in Stage::ALL {
-            self.observations[entry_index(stage, classes[stage.index()])] += 1;
+            let index = entry_index(stage, classes[stage.index()]);
+            self.observations[index] += 1;
+            if learns[stage.index()] {
+                let pending = &mut self.pending[index];
+                *pending = pending.max(excitations[stage.index()]);
+            }
         }
+        self.deferred_cycles += u64::from(learns.contains(&true));
         true
+    }
+
+    /// Applies the deferred learns of one cycle's six keyed entries, so the
+    /// exact kernel ([`AdaptiveBank::observe_cycle_lanes_phased`]) may read
+    /// and adapt them. `bank` must be the [`CornerBank`] the proven cycles
+    /// were offered with. A no-op when nothing is pending.
+    pub fn settle(&mut self, classes: &[TimingClass; Stage::COUNT], bank: &CornerBank) {
+        for stage in Stage::ALL {
+            self.settle_entry(bank, stage, classes[stage.index()]);
+        }
+    }
+
+    /// Whether none of the six keyed entries holds a deferred learn.
+    fn is_settled(&self, classes: &[TimingClass; Stage::COUNT]) -> bool {
+        Stage::ALL.iter().all(|&stage| {
+            self.pending[entry_index(stage, classes[stage.index()])] == f64::NEG_INFINITY
+        })
+    }
+
+    /// Folds one entry's pending learn into its lanes — one
+    /// [`CornerBank::delays_from_excitation`] pass, unless the entry already
+    /// covers the pending excitation (then the fold is a no-op).
+    fn settle_entry(&mut self, bank: &CornerBank, stage: Stage, class: TimingClass) {
+        let index = entry_index(stage, class);
+        let pending = std::mem::replace(&mut self.pending[index], f64::NEG_INFINITY);
+        if pending <= self.covered[index] {
+            return;
+        }
+        bank.delays_from_excitation(stage, class, pending, &mut self.bound);
+        let at = table_offset(self.padded, stage, class);
+        // The exact kernel's learn with a drift factor of 1.0 (`x × 1.0`
+        // is `x` bit for bit): `delays_from_excitation` evaluates the same
+        // delay expression as the evaluator's lanes.
+        let margin_factor = 1.0 + self.config.margin;
+        for (learned, &delay) in self.learned[at..at + self.corners]
+            .iter_mut()
+            .zip(&self.bound[..self.corners])
+        {
+            let target = delay * margin_factor;
+            if target > *learned {
+                *learned = target;
+            }
+        }
+        // Every lane now holds at least `delay(pending) × (1 + margin)`.
+        self.covered[index] = pending;
     }
 
     /// Whether the `(stage, class)` entry covers `excitation` on every
@@ -1114,8 +1136,55 @@ impl<'a> AdaptiveBank<'a> {
         covered
     }
 
+    /// Whether the `(stage, class)` delay at `excitation` fits every
+    /// corner's static period under the bank's own compare, extending the
+    /// static-fit cache when a fresh check succeeds.
+    fn fits_static(
+        &mut self,
+        bank: &CornerBank,
+        stage: Stage,
+        class: TimingClass,
+        excitation: f64,
+    ) -> bool {
+        let index = entry_index(stage, class);
+        if excitation <= self.fits_static[index] {
+            return true;
+        }
+        bank.delays_from_excitation(stage, class, excitation, &mut self.bound);
+        let fits = self.static_period[..self.corners]
+            .iter()
+            .zip(&self.bound[..self.corners])
+            .fold(true, |all, (&period, &delay)| {
+                all & (delay <= period + 1e-9)
+            });
+        if fits {
+            self.fits_static[index] = excitation;
+        }
+        fits
+    }
+
+    /// Whether the `(stage, class)` delay at `excitation` fits the cycle's
+    /// predicted request (`requested`, already padded on a cold cycle) on
+    /// every lane under the bank's own compare.
+    fn fits_request(
+        &mut self,
+        bank: &CornerBank,
+        stage: Stage,
+        class: TimingClass,
+        excitation: f64,
+    ) -> bool {
+        bank.delays_from_excitation(stage, class, excitation, &mut self.bound);
+        self.requested[..self.corners]
+            .iter()
+            .zip(&self.bound[..self.corners])
+            .fold(true, |all, (&requested, &delay)| {
+                all & (delay <= requested + 1e-9)
+            })
+    }
+
     /// Finalizes every corner's outcome from the run totals — the banked
     /// counterpart of [`CycleObserver::finish`] on each scalar observer.
+    /// Pending learns change no outcome, so none need settling first.
     pub fn finish(&mut self, summary: &RunSummary) {
         let cycles = summary.cycles;
         let outcomes = (0..self.corners)
@@ -1154,7 +1223,7 @@ impl<'a> AdaptiveBank<'a> {
                     } else {
                         0.0
                     },
-                    warmup_cycles: self.warmup_cycles[lane],
+                    warmup_cycles: self.warmup_cycles,
                 }
             })
             .collect();
@@ -1236,32 +1305,6 @@ pub fn replay_adaptive_digest(
     digest.for_each_cycle(|cycle, dc| observer.observe_digest(cycle, dc));
     observer.finish(&digest.summary());
     observer.into_outcome()
-}
-
-/// Trains and evaluates one adaptive controller per model in a **single**
-/// digest walk — the corner-batched counterpart of
-/// [`replay_adaptive_digest`]. The per-cycle dither/excitation evaluation
-/// runs once through a [`CornerBank`] and is broadcast across corners; the
-/// `M` controllers' tables live in one [`AdaptiveBank`] and are updated in
-/// lane-friendly folds. Outcome `i` is bit-identical to
-/// `replay_adaptive_digest(&models[i], ...)` (pinned by the banked-replay
-/// property tests), at a fraction of the walk cost.
-#[must_use]
-pub fn replay_adaptive_digest_banked(
-    models: &[TimingModel],
-    digest: &TimingDigest,
-    config: &AdaptiveConfig,
-    generator: &ClockGenerator,
-    seed_lut: Option<&DelayLut>,
-    drift: Drift,
-) -> Vec<AdaptiveOutcome> {
-    let bank = CornerBank::from_models(models);
-    let mut adaptive = AdaptiveBank::new(models, config, generator, seed_lut, drift);
-    bank.replay_digest(digest, |cycle, dc, timings| {
-        adaptive.observe_digest_timed(cycle, dc, timings);
-    });
-    adaptive.finish(&digest.summary());
-    adaptive.into_outcomes()
 }
 
 #[cfg(test)]
@@ -1419,6 +1462,31 @@ mod tests {
             .collect()
     }
 
+    /// A copy of `model` at a slower supply voltage (same profile and
+    /// library): its delays outgrow the original model's static period.
+    fn at_voltage(model: &TimingModel, voltage_mv: u32) -> TimingModel {
+        TimingModel::new(model.profile().clone(), model.library().clone(), voltage_mv)
+            .expect("the voltage is characterized")
+    }
+
+    /// Replays `digest` through the exact lanes kernel on every cycle.
+    fn replay_lanes(
+        models: &[TimingModel],
+        digest: &TimingDigest,
+        config: &AdaptiveConfig,
+        seed_lut: Option<&DelayLut>,
+        drift: Drift,
+    ) -> Vec<AdaptiveOutcome> {
+        let corner_bank = CornerBank::from_models(models);
+        let mut bank = AdaptiveBank::new(models, config, &ClockGenerator::Ideal, seed_lut, drift);
+        let mut evaluator = corner_bank.evaluator();
+        digest.for_each_cycle(|cycle, dc| {
+            bank.observe_cycle_lanes(cycle, dc, evaluator.cycle_lanes(cycle, dc));
+        });
+        bank.finish(&digest.summary());
+        bank.into_outcomes()
+    }
+
     #[test]
     fn adaptive_bank_is_bit_identical_to_scalar_observers() {
         let digest = TimingDigest::from_trace(&long_trace());
@@ -1437,14 +1505,7 @@ mod tests {
                     },
                 ),
             ] {
-                let banked = replay_adaptive_digest_banked(
-                    &models,
-                    &digest,
-                    &config,
-                    &ClockGenerator::Ideal,
-                    seed_lut,
-                    drift,
-                );
+                let banked = replay_lanes(&models, &digest, &config, seed_lut, drift);
                 assert_eq!(banked.len(), corners);
                 for (corner, model) in models.iter().enumerate() {
                     let scalar = replay_adaptive_digest(
@@ -1466,11 +1527,12 @@ mod tests {
         let digest = TimingDigest::from_trace(&long_trace());
         let models = varied_models(3, 7);
         let config = AdaptiveConfig::default();
-        let corner_bank = idca_timing::CornerBank::from_models(&models);
+        let corner_bank = CornerBank::from_models(&models);
         let mut bank =
             AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
-        corner_bank.replay_digest(&digest, |cycle, dc, timings| {
-            bank.observe_digest_timed(cycle, dc, timings);
+        let mut evaluator = corner_bank.evaluator();
+        digest.for_each_cycle(|cycle, dc| {
+            bank.observe_cycle_lanes(cycle, dc, evaluator.cycle_lanes(cycle, dc));
         });
         for (corner, model) in models.iter().enumerate() {
             let mut scalar =
@@ -1479,7 +1541,7 @@ mod tests {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
                     assert_eq!(
-                        bank.learned_ps(corner, stage, class),
+                        bank.learned_ps(&corner_bank, corner, stage, class),
                         scalar.learned_ps(stage, class)
                     );
                     assert_eq!(
@@ -1514,8 +1576,25 @@ mod tests {
             !faulted && !(self.entry)(cycle)
         }
 
-        /// Runs the exact lanes kernel on one perturbed (or unperturbed)
-        /// cycle.
+        /// Evaluates one cycle's lanes and applies the perturbation.
+        fn lanes<'e>(
+            &self,
+            evaluator: &'e mut idca_timing::BankEvaluator<'_>,
+            cycle: u64,
+            dc: &DigestCycle,
+        ) -> &'e CycleLanes {
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            if let Some(plan) = self.faults {
+                lanes.apply_fault_factors(&plan.stage_factors(cycle));
+            }
+            if (self.entry)(cycle) {
+                lanes.apply_surge(1.25);
+            }
+            lanes
+        }
+
+        /// Settles the cycle's entries and runs the exact lanes kernel on
+        /// it.
         fn observe_exact(
             &self,
             bank: &mut AdaptiveBank<'_>,
@@ -1523,15 +1602,28 @@ mod tests {
             cycle: u64,
             dc: &DigestCycle,
         ) {
-            let lanes = evaluator.cycle_lanes(cycle, dc);
-            if let Some(plan) = self.faults {
-                lanes.apply_fault_factors(&plan.stage_factors(cycle));
-            }
+            bank.settle(&dc.classes, evaluator.bank());
+            let lanes = self.lanes(evaluator, cycle, dc);
+            bank.observe_cycle_lanes_phased(cycle, dc, lanes, (self.entry)(cycle));
+        }
+
+        /// The scalar observer's view of the same cycle: the model's own
+        /// timing, perturbed in the same order.
+        fn observe_scalar(
+            &self,
+            observer: &mut AdaptiveObserver<'_>,
+            model: &TimingModel,
+            cycle: u64,
+            dc: &DigestCycle,
+        ) {
+            let timing = model.digest_cycle_timing(cycle, dc);
+            let timing = match self.faults {
+                Some(plan) => plan.faulted(cycle, &timing),
+                None => timing,
+            };
             let entry = (self.entry)(cycle);
-            if entry {
-                lanes.apply_surge(1.25);
-            }
-            bank.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+            let timing = if entry { surged(&timing, 1.25) } else { timing };
+            observer.observe_parts(cycle, &dc.classes, &timing, entry);
         }
     }
 
@@ -1548,10 +1640,10 @@ mod tests {
         let mut evaluator = corners.evaluator();
         let (mut proven, mut unperturbed) = (0, 0);
         digest.for_each_cycle(|cycle, dc| {
-            let worst = idca_timing::worst_stage_excitations(dc);
+            let excitations = idca_timing::stage_excitations(cycle, dc);
             let quiet = perturbation.unperturbed(cycle);
             unperturbed += u64::from(quiet);
-            if quiet && bank.observe_proven(&dc.classes, &worst, corners) {
+            if quiet && bank.observe_proven(&dc.classes, &excitations, corners) {
                 proven += 1;
             } else {
                 perturbation.observe_exact(bank, &mut evaluator, cycle, dc);
@@ -1575,13 +1667,13 @@ mod tests {
         bank.finish(&digest.summary());
     }
 
-    fn assert_same_tables(a: &AdaptiveBank<'_>, b: &AdaptiveBank<'_>) {
+    fn assert_same_tables(a: &mut AdaptiveBank<'_>, b: &mut AdaptiveBank<'_>, bank: &CornerBank) {
         for corner in 0..a.corners() {
             for stage in Stage::ALL {
                 for class in TimingClass::ALL {
                     assert_eq!(
-                        a.learned_ps(corner, stage, class).to_bits(),
-                        b.learned_ps(corner, stage, class).to_bits()
+                        a.learned_ps(bank, corner, stage, class).to_bits(),
+                        b.learned_ps(bank, corner, stage, class).to_bits()
                     );
                     assert_eq!(
                         a.observation_count(corner, stage, class),
@@ -1648,12 +1740,211 @@ mod tests {
                 if perturbation.faults.is_some() {
                     assert!(unperturbed < digest.cycles(), "{label}: nothing perturbed");
                 }
-                assert_same_tables(&proven_bank, &exact_bank);
+                assert_same_tables(&mut proven_bank, &mut exact_bank, &corner_bank);
                 assert_eq!(
                     proven_bank.into_outcomes(),
                     exact_bank.into_outcomes(),
                     "{label} corners {corners}"
                 );
+            }
+        }
+    }
+
+    /// How one cycle of [`deferred_learn_is_bit_identical_to_per_cycle_learn`]
+    /// was replayed.
+    #[derive(Debug, Default)]
+    struct CycleKinds {
+        cold: u64,
+        covered: u64,
+        record: u64,
+        violating: u64,
+        faulted: u64,
+        entry: u64,
+    }
+
+    #[test]
+    fn deferred_learn_is_bit_identical_to_per_cycle_learn() {
+        let digest = TimingDigest::from_trace(&long_trace());
+        let spec = idca_timing::FaultSpec::parse(
+            "seed=5,droop-rate=0.3,droop-mag=0.3,spike-rate=0.02,spike-mag=0.5,penalty=4",
+        )
+        .unwrap();
+        let plan = FaultPlan::new(&spec);
+        let perturbations = [
+            UNPERTURBED,
+            Perturbation {
+                faults: Some(&plan),
+                entry: |cycle| cycle % 211 < 3,
+            },
+        ];
+        // A zero margin learns exactly the observed delays, so a warm entry
+        // meeting a larger excitation can violate on an unperturbed cycle.
+        let configs = [
+            AdaptiveConfig::default(),
+            AdaptiveConfig {
+                margin: 0.0,
+                ..AdaptiveConfig::default()
+            },
+        ];
+        let mut kinds = CycleKinds::default();
+        for corners in [1u32, 5, 8] {
+            let models = varied_models(corners, 0xDEF);
+            // Delays evaluated at the corners' own voltage, and at 0.65 V
+            // against the static periods of the original corners: there
+            // the static padding of a cold cycle does not cover every
+            // delay, so the entries whose static bound fails must send
+            // their cold cycles to the exact path.
+            let slow: Vec<TimingModel> = models.iter().map(|m| at_voltage(m, 650)).collect();
+            for (delays, static_fits) in [(&models, true), (&slow, false)] {
+                let corner_bank = CornerBank::from_models(delays);
+                for config in &configs {
+                    for perturbation in perturbations {
+                        let seen = deferred_against_exact_and_scalar(
+                            &models,
+                            delays,
+                            &corner_bank,
+                            config,
+                            perturbation,
+                            &digest,
+                        );
+                        if !static_fits {
+                            // The slow delays outgrow the static padding.
+                            assert!(seen.violating > 0, "{seen:?}");
+                        }
+                        kinds.cold += seen.cold;
+                        kinds.covered += seen.covered;
+                        kinds.record += seen.record;
+                        kinds.violating += seen.violating;
+                        kinds.faulted += seen.faulted;
+                        kinds.entry += seen.entry;
+                    }
+                }
+            }
+        }
+        let counts = [
+            kinds.cold,
+            kinds.covered,
+            kinds.record,
+            kinds.violating,
+            kinds.faulted,
+            kinds.entry,
+        ];
+        assert!(
+            counts.iter().all(|&n| n > 0),
+            "every kind of cycle must occur: {kinds:?}"
+        );
+    }
+
+    /// Walks `digest` in lockstep through a bank on the proven path, a bank
+    /// on the exact kernel and one scalar observer per corner (static
+    /// periods from `models`, delays from `delays`), comparing every
+    /// learned value and observation count every 97 cycles and the
+    /// outcomes at the end. Returns how the proven bank replayed the
+    /// cycles.
+    fn deferred_against_exact_and_scalar(
+        models: &[TimingModel],
+        delays: &[TimingModel],
+        corner_bank: &CornerBank,
+        config: &AdaptiveConfig,
+        perturbation: Perturbation<'_>,
+        digest: &TimingDigest,
+    ) -> CycleKinds {
+        let generator = &ClockGenerator::Ideal;
+        let new_bank = || {
+            let mut bank = AdaptiveBank::new(models, config, generator, None, Drift::None);
+            bank.set_faults(perturbation.faults.copied());
+            bank
+        };
+        let (mut proven_bank, mut exact_bank) = (new_bank(), new_bank());
+        assert!(proven_bank.proof_ready(corner_bank));
+        let mut scalars: Vec<AdaptiveObserver<'_>> = models
+            .iter()
+            .zip(delays)
+            .map(|(model, delays)| {
+                let mut observer =
+                    AdaptiveObserver::new(delays, config, generator, None, Drift::None);
+                observer.static_period = model.static_period_ps();
+                match perturbation.faults {
+                    Some(plan) => observer.with_faults(plan),
+                    None => observer,
+                }
+            })
+            .collect();
+        let mut evaluator = corner_bank.evaluator();
+        let mut kinds = CycleKinds::default();
+        let warmup = config.warmup_observations;
+        digest.for_each_cycle(|cycle, dc| {
+            let quiet = perturbation.unperturbed(cycle);
+            let entry = (perturbation.entry)(cycle);
+            kinds.entry += u64::from(entry);
+            kinds.faulted += u64::from(!quiet && !entry);
+            let cold = Stage::ALL.iter().any(|&stage| {
+                proven_bank.observations[entry_index(stage, dc.classes[stage.index()])] < warmup
+            });
+            let deferred = proven_bank.deferred_learn_cycles();
+            let excitations = idca_timing::stage_excitations(cycle, dc);
+            let proven =
+                quiet && proven_bank.observe_proven(&dc.classes, &excitations, corner_bank);
+            if proven {
+                let deferred = proven_bank.deferred_learn_cycles() > deferred;
+                kinds.cold += u64::from(cold);
+                kinds.record += u64::from(!cold && deferred);
+                kinds.covered += u64::from(!cold && !deferred);
+            } else {
+                proven_bank.settle(&dc.classes, corner_bank);
+            }
+            let violations: u64 = exact_bank.violations.iter().sum();
+            let lanes = perturbation.lanes(&mut evaluator, cycle, dc);
+            exact_bank.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+            if !proven {
+                proven_bank.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+            }
+            let violated = exact_bank.violations.iter().sum::<u64>() > violations;
+            assert!(
+                !(proven && violated),
+                "cycle {cycle} was proven but violates"
+            );
+            kinds.violating += u64::from(quiet && violated);
+            for (scalar, model) in scalars.iter_mut().zip(delays) {
+                perturbation.observe_scalar(scalar, model, cycle, dc);
+            }
+            if cycle % 97 == 0 {
+                assert_same_tables(&mut proven_bank, &mut exact_bank, corner_bank);
+                assert_scalar_tables(&mut proven_bank, &scalars, corner_bank);
+            }
+        });
+        assert_same_tables(&mut proven_bank, &mut exact_bank, corner_bank);
+        assert_scalar_tables(&mut proven_bank, &scalars, corner_bank);
+        let summary = digest.summary();
+        proven_bank.finish(&summary);
+        exact_bank.finish(&summary);
+        let proven = proven_bank.into_outcomes();
+        assert_eq!(proven, exact_bank.into_outcomes());
+        for (corner, mut scalar) in scalars.into_iter().enumerate() {
+            scalar.finish(&summary);
+            assert_eq!(proven[corner], scalar.into_outcome(), "corner {corner}");
+        }
+        kinds
+    }
+
+    fn assert_scalar_tables(
+        bank: &mut AdaptiveBank<'_>,
+        scalars: &[AdaptiveObserver<'_>],
+        corner_bank: &CornerBank,
+    ) {
+        for (corner, scalar) in scalars.iter().enumerate() {
+            for stage in Stage::ALL {
+                for class in TimingClass::ALL {
+                    assert_eq!(
+                        bank.learned_ps(corner_bank, corner, stage, class).to_bits(),
+                        scalar.learned_ps(stage, class).to_bits(),
+                        "corner {corner} {stage:?} {class:?}"
+                    );
+                    assert_eq!(
+                        bank.observation_count(corner, stage, class),
+                        scalar.observation_count(stage, class)
+                    );
+                }
             }
         }
     }
@@ -1714,10 +2005,7 @@ mod tests {
             let (proven, _) = replay_with_proof(&mut bank, corner_bank, &digest, UNPERTURBED);
             assert_eq!(proven, 0, "{label}: no cycle may skip");
             let mut exact = new_bank();
-            corner_bank.replay_digest(&digest, |cycle, dc, timings| {
-                exact.observe_digest_timed(cycle, dc, timings);
-            });
-            exact.finish(&digest.summary());
+            replay_exact(&mut exact, corner_bank, &digest, UNPERTURBED);
             assert_eq!(bank.into_outcomes(), exact.into_outcomes(), "{label}");
         }
         // A bank of another corner count cannot vouch for these lanes.
@@ -1729,6 +2017,23 @@ mod tests {
             Drift::None,
         );
         assert!(!bank.proof_ready(&corner_bank));
+
+        // Delays at 0.60 V against the static periods of the original
+        // corners: the static bound of the entries fails, so no cold cycle
+        // may be proven, and the violations the static padding cannot
+        // prevent must appear.
+        let slow: Vec<TimingModel> = models.iter().map(|m| at_voltage(m, 600)).collect();
+        let slow_bank = CornerBank::from_models(&slow);
+        let new_bank = || AdaptiveBank::new(&models, &default, ideal, None, Drift::None);
+        let mut bank = new_bank();
+        assert!(bank.proof_ready(&slow_bank));
+        replay_with_proof(&mut bank, &slow_bank, &digest, UNPERTURBED);
+        let mut exact = new_bank();
+        replay_exact(&mut exact, &slow_bank, &digest, UNPERTURBED);
+        assert_same_tables(&mut bank, &mut exact, &slow_bank);
+        let exact = exact.into_outcomes();
+        assert!(exact.iter().all(|o| o.violations > 0), "0.60 V violates");
+        assert_eq!(bank.into_outcomes(), exact);
 
         // A fault plan is no walk-level precondition: the faulted bank is
         // ready, and proves only the unperturbed cycles it is offered.
@@ -1749,13 +2054,13 @@ mod tests {
         let exact = exact.into_outcomes();
         assert!(exact.iter().any(|o| o.violations > 0), "the droops violate");
         assert_eq!(bank.into_outcomes(), exact);
-        // The bound cannot see the factors: offered every cycle, it would
+        // The proof cannot see the factors: offered every cycle, it would
         // wrongly prove faulted ones, which is why the caller gates them.
         let mut ungated = new_bank();
         let mut evaluator = corner_bank.evaluator();
         digest.for_each_cycle(|cycle, dc| {
-            let worst = idca_timing::worst_stage_excitations(dc);
-            if !ungated.observe_proven(&dc.classes, &worst, &corner_bank) {
+            let excitations = idca_timing::stage_excitations(cycle, dc);
+            if !ungated.observe_proven(&dc.classes, &excitations, &corner_bank) {
                 faulted.observe_exact(&mut ungated, &mut evaluator, cycle, dc);
             }
         });
@@ -1772,40 +2077,53 @@ mod tests {
         let mut bank =
             AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, Drift::None);
         let cached = |bank: &AdaptiveBank<'_>| bank.covered.iter().any(|&x| x > f64::NEG_INFINITY);
+        let pending = |bank: &AdaptiveBank<'_>| bank.pending.iter().any(|&x| x > f64::NEG_INFINITY);
         assert!(!cached(&bank));
         assert!(replay_with_proof(&mut bank, &corner_bank, &digest, UNPERTURBED).0 > 0);
         assert!(cached(&bank));
+        assert!(bank.deferred_learn_cycles() > 0);
         bank.reset(None);
         assert!(!cached(&bank), "reset clears the proof cache");
+        assert!(!pending(&bank), "reset drops the deferred learns");
+        assert!(bank.fits_static.iter().all(|&x| x == f64::NEG_INFINITY));
+        assert_eq!(bank.deferred_learn_cycles(), 0);
 
         // Warm up and prove, then feed one cycle from a much slower corner:
-        // it violates (and may back entries off), so every proof is void.
-        let slow_models: Vec<TimingModel> = models
-            .iter()
-            .map(|model| {
-                TimingModel::new(model.profile().clone(), model.library().clone(), 600)
-                    .expect("0.60 V is characterized")
-            })
-            .collect();
+        // it violates (and may back entries off, the cap shrinking them), so
+        // every cached cover — which also lets a settle skip its fold — is
+        // void.
+        let slow_models: Vec<TimingModel> = models.iter().map(|m| at_voltage(m, 600)).collect();
         let slow_bank = CornerBank::from_models(&slow_models);
-        for lanes_path in [true, false] {
-            bank.reset(None);
-            replay_with_proof(&mut bank, &corner_bank, &digest, UNPERTURBED);
-            assert!(cached(&bank));
-            let before: u64 = bank.violations.iter().sum();
-            let (cycle, dc) = (digest.cycles(), digest.pool()[0]);
-            if lanes_path {
-                bank.observe_cycle_lanes(cycle, &dc, slow_bank.evaluator().cycle_lanes(cycle, &dc));
-            } else {
-                let timings = slow_bank.evaluator().cycle_timings(cycle, &dc).to_vec();
-                bank.observe_digest_timed(cycle, &dc, &timings);
-            }
-            assert!(
-                bank.violations.iter().sum::<u64>() > before,
-                "the slow cycle violates"
-            );
-            assert!(!cached(&bank), "a violation clears the proof cache");
-        }
+        replay_with_proof(&mut bank, &corner_bank, &digest, UNPERTURBED);
+        assert!(cached(&bank));
+        let before: u64 = bank.violations.iter().sum();
+        let (cycle, dc) = (digest.cycles(), digest.pool()[0]);
+        bank.settle(&dc.classes, &corner_bank);
+        bank.observe_cycle_lanes(cycle, &dc, slow_bank.evaluator().cycle_lanes(cycle, &dc));
+        assert!(
+            bank.violations.iter().sum::<u64>() > before,
+            "the slow cycle violates"
+        );
+        assert!(!cached(&bank), "a violation clears the proof cache");
+    }
+
+    #[test]
+    #[should_panic(expected = "settle the cycle first")]
+    fn exact_kernel_rejects_an_unsettled_entry() {
+        let digest = TimingDigest::from_trace(&long_trace());
+        let models = varied_models(3, 7);
+        let corner_bank = CornerBank::from_models(&models);
+        let mut bank = AdaptiveBank::new(
+            &models,
+            &AdaptiveConfig::default(),
+            &ClockGenerator::Ideal,
+            None,
+            Drift::None,
+        );
+        let dc = digest.pool()[0];
+        let excitations = idca_timing::stage_excitations(0, &dc);
+        assert!(bank.observe_proven(&dc.classes, &excitations, &corner_bank));
+        bank.observe_cycle_lanes(1, &dc, corner_bank.evaluator().cycle_lanes(1, &dc));
     }
 
     #[test]
@@ -1826,27 +2144,21 @@ mod tests {
     #[should_panic(expected = "corner 3 is out of range")]
     fn learned_ps_rejects_a_padding_lane() {
         let models = varied_models(3, 7);
-        let bank = AdaptiveBank::new(
+        let corner_bank = CornerBank::from_models(&models);
+        let mut bank = AdaptiveBank::new(
             &models,
             &AdaptiveConfig::default(),
             &ClockGenerator::Ideal,
             None,
             Drift::None,
         );
-        let _ = bank.learned_ps(3, Stage::Execute, TimingClass::Add);
+        let _ = bank.learned_ps(&corner_bank, 3, Stage::Execute, TimingClass::Add);
     }
 
     #[test]
     fn empty_adaptive_bank_is_inert() {
         let digest = TimingDigest::from_trace(&long_trace());
-        let outcomes = replay_adaptive_digest_banked(
-            &[],
-            &digest,
-            &AdaptiveConfig::default(),
-            &ClockGenerator::Ideal,
-            None,
-            Drift::None,
-        );
+        let outcomes = replay_lanes(&[], &digest, &AdaptiveConfig::default(), None, Drift::None);
         assert!(outcomes.is_empty());
     }
 

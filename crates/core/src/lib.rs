@@ -72,8 +72,8 @@ mod sim;
 pub mod vfs;
 
 pub use adaptive::{
-    replay_adaptive_digest, replay_adaptive_digest_banked, run_adaptive, AdaptiveBank,
-    AdaptiveConfig, AdaptiveObserver, AdaptiveOutcome, Drift,
+    replay_adaptive_digest, run_adaptive, AdaptiveBank, AdaptiveConfig, AdaptiveObserver,
+    AdaptiveOutcome, Drift,
 };
 pub use clockgen::ClockGenerator;
 pub use error::{CoreError, LutFormatError};

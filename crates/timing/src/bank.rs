@@ -25,8 +25,7 @@
 //! is bit-identical to the lane-by-lane path — pinned by the unit tests here
 //! and by the workspace-level banked-replay property tests.
 
-use crate::model::{blend_excitation, stage_dithers};
-use crate::{CycleTiming, FaultPlan, Ps, TimingModel};
+use crate::{stage_excitations, CycleTiming, FaultPlan, Ps, TimingModel};
 use idca_isa::TimingClass;
 use idca_pipeline::{DigestCycle, Stage, TimingDigest};
 
@@ -362,13 +361,22 @@ impl BankEvaluator<'_> {
     /// lanes in place ([`CycleLanes::apply_fault`]); the next call
     /// recomputes every lane from scratch.
     pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes {
+        self.lanes_at(&dc.classes, &stage_excitations(cycle, dc))
+    }
+
+    /// [`BankEvaluator::cycle_lanes`] from the cycle's already-evaluated
+    /// blended excitations ([`stage_excitations`]), for a replay that also
+    /// reads them: the corner-invariant terms — all six stage dithers from
+    /// one batched hash kernel, blended into the raw excitations — are then
+    /// evaluated once per cycle and broadcast across corners. The same
+    /// `(classes, excitations)` always evaluate the same lanes.
+    pub fn lanes_at(
+        &mut self,
+        classes: &[TimingClass; Stage::COUNT],
+        excitations: &[f64; Stage::COUNT],
+    ) -> &mut CycleLanes {
         let bank = self.bank;
         let padded = bank.padded;
-        // Corner-invariant per-cycle terms, computed once and broadcast: all
-        // six stage dithers come out of one batched hash kernel (shared with
-        // the scalar `digest_cycle_timing`, so both paths stay bit-identical
-        // by construction).
-        let dithers = stage_dithers(cycle, dc.fetch_address);
         let scale = &bank.scale[..padded];
         // One fused pass per stage: the delay expression is exactly
         // `delays_from_excitation` and the select-form running max keeps
@@ -380,10 +388,8 @@ impl BankEvaluator<'_> {
         // `delay > 0.0` fold picks the same value either way.
         let mut first = true;
         for stage in Stage::ALL {
-            let dither = dithers[stage.index()];
-            let excitation = blend_excitation(dc.excitation[stage.index()].raw(dither), dither);
-            let shortfall = 1.0 - excitation;
-            let at = lane_offset(padded, stage, dc.classes[stage.index()]);
+            let shortfall = 1.0 - excitations[stage.index()];
+            let at = lane_offset(padded, stage, classes[stage.index()]);
             let base = &bank.base[at..at + padded];
             let spread = &bank.spread[at..at + padded];
             let out = &mut self.cycle.stage_delay_ps[stage.index() * padded..][..padded];

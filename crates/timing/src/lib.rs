@@ -92,7 +92,9 @@ pub use fault::{
 pub use histogram::{Histogram, HistogramMergeError};
 pub use irq::{surged, IrqCursor, IrqTimeline};
 pub use library::{CellLibrary, LibraryError, OperatingPoint};
-pub use model::{worst_stage_excitations, CycleTiming, EventLogObserver, TimingModel};
+pub use model::{
+    stage_excitations, worst_stage_excitations, CycleTiming, EventLogObserver, TimingModel,
+};
 pub use power::{ActivityObserver, ActivitySummary, PowerModel, PowerReport};
 pub use profile::{ProfileKind, StageClassDelays, TimingProfile};
 pub use variation::{PvtCorner, VariationModel, NOMINAL_TEMPERATURE_C};

@@ -357,11 +357,26 @@ pub(crate) fn stage_dithers(cycle: u64, fetch_address: u32) -> [f64; Stage::COUN
         .wrapping_add(u64::from(fetch_address).wrapping_mul(HASH_SALT_C));
     let mut dithers = [0.0; Stage::COUNT];
     for (index, dither) in dithers.iter_mut().enumerate() {
-        let mixed = mix01(shared.wrapping_add((index as u64).wrapping_mul(HASH_SALT_B)));
-        *dither = quantize_dither(mixed);
+        let mixed = mix_bits(shared.wrapping_add((index as u64).wrapping_mul(HASH_SALT_B)));
+        *dither = DITHER_TABLE[(mixed >> 61) as usize];
     }
     dithers
 }
+
+/// [`dither_level`] of every bucket, so the batched kernel quantizes with
+/// one table load. `mix01` maps the mixed bits `x` to `(x >> 11) × 2⁻⁵³`
+/// exactly (a power-of-two scale), so `floor(mix01(x) × 8)` is exactly
+/// `x >> 61`: indexing this table by the top three bits is bit-identical
+/// to [`quantize_dither`] of [`mix01`] — without the `floor` call.
+const DITHER_TABLE: [f64; DITHER_LEVELS as usize] = {
+    let mut table = [0.0; DITHER_LEVELS as usize];
+    let mut k = 0;
+    while k < DITHER_LEVELS {
+        table[k as usize] = dither_level(k);
+        k += 1;
+    }
+    table
+};
 
 /// Blends a little dither into every stage's raw excitation so repeated
 /// identical activity does not collapse onto a single delay value
@@ -369,6 +384,24 @@ pub(crate) fn stage_dithers(cycle: u64, fetch_address: u32) -> [f64; Stage::COUN
 /// keeping the result bounded by the class worst-case.
 pub(crate) fn blend_excitation(raw: f64, dither: f64) -> f64 {
     (raw * 0.92 + 0.08 * dither).clamp(0.0, 1.0)
+}
+
+/// The six blended excitations of one digested cycle at cycle index
+/// `cycle`: one batched dither evaluation (`stage_dithers`) blended into
+/// each stage's raw excitation, with the arithmetic of
+/// [`TimingModel::digest_cycle_timing`]. This is the corner-invariant half
+/// of [`crate::BankEvaluator::cycle_lanes`], so a replay that also inspects
+/// the excitations (the adaptive bank's proof) evaluates them once and
+/// hands them to [`crate::BankEvaluator::lanes_at`].
+#[must_use]
+pub fn stage_excitations(cycle: u64, digest: &DigestCycle) -> [f64; Stage::COUNT] {
+    let dithers = stage_dithers(cycle, digest.fetch_address);
+    let mut excitations = [0.0; Stage::COUNT];
+    for (index, excitation) in excitations.iter_mut().enumerate() {
+        let dither = dithers[index];
+        *excitation = blend_excitation(digest.excitation[index].raw(dither), dither);
+    }
+    excitations
 }
 
 /// Quantizes a `[0, 1)` dither value to eight discrete levels `0, 1/7, ..., 1`.
@@ -382,8 +415,8 @@ const DITHER_LEVELS: u32 = 8;
 /// The `k`-th dither level, computed with exactly the arithmetic
 /// [`quantize_dither`] applies once `floor` has produced `k` — so the set
 /// `{dither_level(k)}` is bit-for-bit the set of dithers any cycle can see.
-fn dither_level(k: u32) -> f64 {
-    (f64::from(k) / 7.0).clamp(0.0, 1.0)
+const fn dither_level(k: u32) -> f64 {
+    (k as f64 / 7.0).clamp(0.0, 1.0)
 }
 
 /// The corner-invariant worst-case blended excitation of every stage of a
@@ -431,13 +464,18 @@ pub(crate) fn hash01(a: u64, b: u64, c: u64) -> f64 {
 /// The split-mix finisher shared by [`hash01`] and the batched
 /// [`stage_dithers`] kernel: avalanches the salted sum and maps the top
 /// bits into `[0, 1)`.
-fn mix01(mut x: u64) -> f64 {
+fn mix01(x: u64) -> f64 {
+    (mix_bits(x) >> 11) as f64 / (1u64 << 53) as f64
+}
+
+/// The split-mix avalanche of [`mix01`], before the mapping into `[0, 1)`.
+fn mix_bits(mut x: u64) -> u64 {
     x ^= x >> 30;
     x = x.wrapping_mul(HASH_SALT_B);
     x ^= x >> 27;
     x = x.wrapping_mul(HASH_SALT_C);
     x ^= x >> 31;
-    (x >> 11) as f64 / (1u64 << 53) as f64
+    x
 }
 
 fn default_endpoints() -> Vec<Endpoint> {
@@ -594,10 +632,13 @@ mod tests {
 
     #[test]
     fn batched_dithers_match_the_per_stage_hash() {
-        // The batched kernel hoists the stage-invariant hash terms; wrapping
-        // arithmetic is associative, so every lane must equal the scalar
-        // per-stage dither to the last bit.
-        for (cycle, fetch_address) in [(0u64, 0u32), (1, 0x100), (u64::MAX, u32::MAX), (12345, 4)] {
+        // The batched kernel hoists the stage-invariant hash terms (wrapping
+        // arithmetic is associative) and quantizes by a table lookup on the
+        // top hash bits, so every lane must equal the scalar per-stage
+        // dither to the last bit — over enough cycles to hit every level.
+        let edges = [(0u64, 0u32), (1, 0x100), (u64::MAX, u32::MAX), (12345, 4)];
+        let walk = (0..5_000u64).map(|cycle| (cycle, 0x40 + 4 * (cycle as u32 % 97)));
+        for (cycle, fetch_address) in edges.into_iter().chain(walk) {
             let batched = stage_dithers(cycle, fetch_address);
             for stage in Stage::ALL {
                 assert_eq!(

@@ -11,8 +11,8 @@
 //! * no corruption of serialized bytes may panic the loader.
 
 use idca::core::{
-    replay_adaptive_digest, replay_adaptive_digest_banked, replay_digest, replay_digest_banked,
-    AdaptiveBank, AdaptiveConfig, AdaptiveObserver, Drift, PolicyBank, PolicyObserver,
+    replay_adaptive_digest, replay_digest, replay_digest_banked, AdaptiveBank, AdaptiveConfig,
+    AdaptiveObserver, AdaptiveOutcome, Drift, PolicyBank, PolicyObserver,
 };
 use idca::pipeline::{DigestObserver, TimingDigest};
 use idca::prelude::*;
@@ -31,6 +31,32 @@ fn digest_of(master_seed: u64) -> TimingDigest {
         .run_observed(&program, &mut [&mut observer])
         .expect("generated programs terminate");
     observer.into_digest()
+}
+
+/// The corner-batched adaptive replay as the sweep runs it: each cycle is
+/// offered to the proven path (which declines unless its preconditions
+/// hold) and otherwise settled and replayed through the exact lanes kernel,
+/// from one excitation evaluation per cycle.
+fn replay_adaptive_banked(
+    models: &[TimingModel],
+    digest: &TimingDigest,
+    config: &AdaptiveConfig,
+    seed_lut: Option<&DelayLut>,
+    drift: Drift,
+) -> Vec<AdaptiveOutcome> {
+    let bank = CornerBank::from_models(models);
+    let mut adaptive = AdaptiveBank::new(models, config, &ClockGenerator::Ideal, seed_lut, drift);
+    let mut evaluator = bank.evaluator();
+    digest.for_each_cycle(|cycle, dc| {
+        let excitations = idca::timing::stage_excitations(cycle, dc);
+        if !adaptive.observe_proven(&dc.classes, &excitations, &bank) {
+            adaptive.settle(&dc.classes, &bank);
+            let lanes = evaluator.lanes_at(&dc.classes, &excitations);
+            adaptive.observe_cycle_lanes(cycle, dc, lanes);
+        }
+    });
+    adaptive.finish(&digest.summary());
+    adaptive.into_outcomes()
 }
 
 /// Samples `corners` PVT-varied models from the default variation model.
@@ -95,14 +121,7 @@ proptest! {
                 fraction_per_kilocycle: f64::from(drift_centikilo) * 0.01,
             }
         };
-        let banked = replay_adaptive_digest_banked(
-            &models,
-            &digest,
-            &config,
-            &ClockGenerator::Ideal,
-            seed_lut,
-            drift,
-        );
+        let banked = replay_adaptive_banked(&models, &digest, &config, seed_lut, drift);
         prop_assert_eq!(banked.len(), models.len());
         for (model, outcome) in models.iter().zip(&banked) {
             let scalar = replay_adaptive_digest(
@@ -115,8 +134,9 @@ proptest! {
             );
             // Field-for-field f64 equality: the SoA adaptive bank performs
             // the identical predict/realize/observe/adapt arithmetic per
-            // lane, so learned periods, violations and warmup counts must
-            // match to the last bit.
+            // lane (a proven cycle's deferred learns fold to the same
+            // values), so realized periods, violations and warmup counts
+            // must match to the last bit.
             prop_assert_eq!(outcome, &scalar, "corners {}", corners);
         }
     }
@@ -132,8 +152,8 @@ proptest! {
         // Pins the sweep's actual phase-2 kernel: the [`CycleLanes`]
         // structure-of-arrays evaluation feeding the three [`PolicyBank`]s
         // (one block decision, one contiguous compare per cycle) and the
-        // [`AdaptiveBank`]'s lanes path — not the AoS
-        // `observe_digest_timed` fallback the other properties cover.
+        // [`AdaptiveBank`]'s exact lanes kernel on every cycle, with no
+        // proven path in between.
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let base = nominal();
