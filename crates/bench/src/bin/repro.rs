@@ -628,7 +628,7 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     let mut best: Option<(u64, SweepTiming)> = None;
     for _ in 0..runs {
         let (report, timing) =
-            Experiments::pvt_sweep_timed_with_cache(&config, cache_dir.as_deref())
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, cache_dir.as_deref())
                 .map_err(|error| error.to_string())?;
         let evaluated = report.total_cycles();
         if best
@@ -647,61 +647,54 @@ fn run_bench(args: &[String]) -> Result<ExitCode, String> {
     // cycle·corner count the replay phase pushed through its SIMD lanes.
     let replay_cycle_corners_per_sec = evaluated_cycles as f64 / timing.replay.as_secs_f64();
 
-    println!("bench.schema=4");
-    println!("bench.seeds={}", config.seeds);
-    println!("bench.corners={}", config.corners);
-    println!("bench.master_seed={}", config.master_seed);
-    println!("bench.jobs={jobs}");
-    println!("bench.evaluated_cycles={evaluated_cycles}");
-    println!("bench.wall_ms={:.3}", ms(timing.total()));
-    println!("bench.simulate_ms={:.3}", ms(timing.simulate));
-    println!("bench.predecode_ms={:.3}", ms(timing.predecode));
-    println!("bench.replay_ms={:.3}", ms(timing.replay));
-    println!("bench.policy_replay_ms={:.3}", ms(timing.policy_replay));
-    println!("bench.simulated_programs={}", timing.simulated_programs);
-    println!("bench.digest_cache_hits={}", timing.digest_cache_hits);
-    println!("bench.jobs_per_sec={jobs_per_sec:.1}");
-    println!("bench.cycles_per_sec={cycles_per_sec:.0}");
-    println!("bench.replay_cycle_corners_per_sec={replay_cycle_corners_per_sec:.0}");
-    println!("bench.proven_table_cycles={}", timing.proven_table_cycles);
-    println!(
-        "bench.proven_adaptive_cycles={}",
-        timing.proven_adaptive_cycles
-    );
-    println!(
-        "bench.deferred_learn_cycles={}",
-        timing.deferred_learn_cycles
-    );
+    // One ordered field list feeds both the `bench.*` lines and the JSON
+    // document (schema 4, parsed by the CI bench gates).
+    let fields = [
+        ("schema", "4".to_string()),
+        ("seeds", config.seeds.to_string()),
+        ("corners", config.corners.to_string()),
+        ("master_seed", config.master_seed.to_string()),
+        ("jobs", jobs.to_string()),
+        ("evaluated_cycles", evaluated_cycles.to_string()),
+        ("wall_ms", format!("{:.3}", ms(timing.total()))),
+        ("simulate_ms", format!("{:.3}", ms(timing.simulate))),
+        ("predecode_ms", format!("{:.3}", ms(timing.predecode))),
+        ("replay_ms", format!("{:.3}", ms(timing.replay))),
+        (
+            "policy_replay_ms",
+            format!("{:.3}", ms(timing.policy_replay)),
+        ),
+        ("simulated_programs", timing.simulated_programs.to_string()),
+        ("digest_cache_hits", timing.digest_cache_hits.to_string()),
+        ("jobs_per_sec", format!("{jobs_per_sec:.1}")),
+        ("cycles_per_sec", format!("{cycles_per_sec:.0}")),
+        (
+            "replay_cycle_corners_per_sec",
+            format!("{replay_cycle_corners_per_sec:.0}"),
+        ),
+        (
+            "proven_table_cycles",
+            timing.proven_table_cycles.to_string(),
+        ),
+        (
+            "proven_adaptive_cycles",
+            timing.proven_adaptive_cycles.to_string(),
+        ),
+        (
+            "deferred_learn_cycles",
+            timing.deferred_learn_cycles.to_string(),
+        ),
+    ];
+    for (key, value) in &fields {
+        println!("bench.{key}={value}");
+    }
 
     if write_json {
-        let json = format!(
-            "{{\n  \"schema\": 4,\n  \"seeds\": {},\n  \"corners\": {},\n  \"master_seed\": {},\n  \
-             \"jobs\": {},\n  \"evaluated_cycles\": {},\n  \"wall_ms\": {:.3},\n  \
-             \"simulate_ms\": {:.3},\n  \"predecode_ms\": {:.3},\n  \"replay_ms\": {:.3},\n  \
-             \"policy_replay_ms\": {:.3},\n  \"simulated_programs\": {},\n  \
-             \"digest_cache_hits\": {},\n  \"jobs_per_sec\": {:.1},\n  \
-             \"cycles_per_sec\": {:.0},\n  \"replay_cycle_corners_per_sec\": {:.0},\n  \
-             \"proven_table_cycles\": {},\n  \"proven_adaptive_cycles\": {},\n  \
-             \"deferred_learn_cycles\": {}\n}}\n",
-            config.seeds,
-            config.corners,
-            config.master_seed,
-            jobs,
-            evaluated_cycles,
-            ms(timing.total()),
-            ms(timing.simulate),
-            ms(timing.predecode),
-            ms(timing.replay),
-            ms(timing.policy_replay),
-            timing.simulated_programs,
-            timing.digest_cache_hits,
-            jobs_per_sec,
-            cycles_per_sec,
-            replay_cycle_corners_per_sec,
-            timing.proven_table_cycles,
-            timing.proven_adaptive_cycles,
-            timing.deferred_learn_cycles,
-        );
+        let members: Vec<String> = fields
+            .iter()
+            .map(|(key, value)| format!("  \"{key}\": {value}"))
+            .collect();
+        let json = format!("{{\n{}\n}}\n", members.join(",\n"));
         std::fs::write(&out_path, json)
             .map_err(|error| format!("cannot write {out_path}: {error}"))?;
         eprintln!("wrote {out_path}");

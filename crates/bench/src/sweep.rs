@@ -37,13 +37,13 @@
 //!    `replay_seed_banked`, with every precondition checked and the exact
 //!    walk as the fallback.
 //!
-//! The banked replay is bit-identical to the retained lane-by-lane path
-//! ([`pvt_sweep_lanewise`], which replays each `(digest, corner)` pair
-//! separately) and to live observation ([`pvt_sweep_direct`], the retained
-//! single-phase reference implementation) — pinned by the
-//! digest-equivalence and banked-replay property tests — so the report is
-//! byte-for-byte the same as the original `N×M`-simulations engine while
-//! doing a fraction of the work.
+//! The banked replay is bit-identical to live observation
+//! ([`pvt_sweep_direct`], the single-phase oracle: one full simulation per
+//! `(seed, corner)` job with the scalar policy observers riding along, no
+//! digest and no [`CornerBank`]) — pinned by the digest-equivalence and
+//! banked-replay property tests — so the report is byte-for-byte the same
+//! as the original `N×M`-simulations engine while doing a fraction of the
+//! work.
 //!
 //! Determinism is load-bearing: programs and corners are hash-derived from
 //! the master seed, workers are stateless, and [`SweepReport::merge`] sorts
@@ -64,8 +64,8 @@ use idca_pipeline::{
     SIMULATOR_VERSION,
 };
 use idca_timing::{
-    stage_excitations, surged, worst_stage_excitations, CornerBank, FaultPlan, FaultSpec,
-    IrqTimeline, ProfileKind, Ps, PvtCorner, TimingModel, VariationModel, LANE_WIDTH,
+    stage_excitations, worst_stage_excitations, CornerBank, FaultPlan, FaultSpec, IrqTimeline,
+    ProfileKind, Ps, PvtCorner, TimingModel, VariationModel, LANE_WIDTH,
 };
 use idca_workloads::suite::par_map;
 use std::cell::RefCell;
@@ -837,18 +837,6 @@ struct IrqScenario<'a> {
     surge_factor: f64,
 }
 
-/// Attaches the sweep's interrupt scenario (when configured) to a policy
-/// observer — the replay observers derive phases from the shared timeline.
-fn with_sweep_interrupts<'a>(
-    observer: PolicyObserver<'a>,
-    irq: Option<IrqScenario<'a>>,
-) -> PolicyObserver<'a> {
-    match irq {
-        Some(scenario) => observer.with_interrupts(Some(scenario.timeline), scenario.surge_factor),
-        None => observer,
-    }
-}
-
 /// Rides along the live reference engine's observer stack to count the
 /// interrupt entries and entry/handler cycles of one run straight off the
 /// records' live phases. Counts exactly what [`IrqTimeline`] recomputes
@@ -878,108 +866,6 @@ impl CycleObserver for IrqStatObserver {
         self.entries += u64::from(phase == IrqPhase::Entry && self.prev != IrqPhase::Entry);
         self.handler_cycles += u64::from(phase != IrqPhase::None);
         self.prev = phase;
-    }
-}
-
-/// Phase 2 worker: replays one digest against one corner's varied timing
-/// model, evaluating the full policy stack with a single model evaluation
-/// per cycle — no simulator in the loop. Bit-identical to [`run_job`] on
-/// the originating simulation (see the digest-equivalence tests). With a
-/// fault plan, the shared per-cycle timing is perturbed once (the same
-/// pure `(fault seed, cycle)` function every engine applies) before all
-/// four observers see it.
-fn replay_job(
-    digest: &TimingDigest,
-    ctx: &CornerContext,
-    faults: Option<&FaultPlan>,
-    irq: Option<IrqScenario<'_>>,
-    seed_index: u32,
-) -> SweepJobOutcome {
-    let varied = &ctx.varied;
-    let mut ob_static = with_sweep_interrupts(
-        with_sweep_faults(
-            PolicyObserver::new(varied, &ctx.static_policy, &ClockGenerator::Ideal),
-            faults,
-        ),
-        irq,
-    );
-    let mut ob_lut = with_sweep_interrupts(
-        with_sweep_faults(
-            PolicyObserver::new(varied, &ctx.lut_policy, &ClockGenerator::Ideal),
-            faults,
-        ),
-        irq,
-    );
-    let mut ob_exec = with_sweep_interrupts(
-        with_sweep_faults(
-            PolicyObserver::new(varied, &ctx.exec_only, &ClockGenerator::Ideal),
-            faults,
-        ),
-        irq,
-    );
-    let mut ob_adaptive = AdaptiveObserver::new(
-        varied,
-        &AdaptiveConfig::default(),
-        &ClockGenerator::Ideal,
-        None,
-        Drift::None,
-    );
-    if let Some(plan) = faults {
-        ob_adaptive = ob_adaptive.with_faults(plan);
-    }
-    if let Some(scenario) = irq {
-        ob_adaptive = ob_adaptive.with_interrupts(Some(scenario.timeline), scenario.surge_factor);
-    }
-
-    let mut cursor = irq.map(|scenario| scenario.timeline.cursor());
-    digest.for_each_cycle(|cycle, dc| {
-        // One model evaluation per cycle, shared by all four observers.
-        let timing = varied.digest_cycle_timing(cycle, dc);
-        // Canonical composition order: faults first, then the entry surge —
-        // float multiplication is not bit-associative, so every engine
-        // applies the two perturbations in this order.
-        let timing = match faults {
-            Some(plan) => plan.faulted(cycle, &timing),
-            None => timing,
-        };
-        let entry = cursor
-            .as_mut()
-            .is_some_and(|cursor| cursor.phase(cycle) == IrqPhase::Entry);
-        let timing = if entry {
-            surged(&timing, irq.expect("entry implies scenario").surge_factor)
-        } else {
-            timing
-        };
-        ob_static.observe_digest_timed(cycle, dc, &timing);
-        ob_lut.observe_digest_timed(cycle, dc, &timing);
-        ob_exec.observe_digest_timed(cycle, dc, &timing);
-        ob_adaptive.observe_digest_timed(cycle, dc, &timing);
-    });
-    let summary = digest.summary();
-    ob_static.finish(&summary);
-    ob_lut.finish(&summary);
-    ob_exec.finish(&summary);
-    ob_adaptive.finish(&summary);
-
-    let (irq_entries, irq_handler_cycles) = match irq {
-        Some(scenario) => (
-            scenario.timeline.entries(),
-            scenario.timeline.handler_cycles(summary.cycles),
-        ),
-        None => (0, 0),
-    };
-    SweepJobOutcome {
-        seed_index,
-        corner_index: ctx.corner_index,
-        cycles: summary.cycles,
-        irq_entries,
-        irq_handler_cycles,
-        policies: [
-            policy_outcome(ob_static.into_outcome()),
-            policy_outcome(ob_lut.into_outcome()),
-            policy_outcome(ob_exec.into_outcome()),
-            adaptive_outcome(ob_adaptive.into_outcome()),
-        ],
     }
 }
 
@@ -1246,12 +1132,12 @@ struct ProvenCycles {
 /// below).
 ///
 /// The sweep keeps only violations and frequencies per row, so no
-/// switching activity is folded here — the lane-by-lane reference path
-/// still folds it per policy, and the rows are proven byte-identical
-/// anyway because [`SweepJobOutcome`] never carries activity. Produces the
-/// same rows, bit for bit, as running [`replay_job`] per corner (pinned by
-/// the banked-replay tests): one decode, one dither batch, `M` corner
-/// outcomes.
+/// switching activity is folded here — the live [`run_job`] oracle still
+/// folds it per policy, and the rows are proven byte-identical anyway
+/// because [`SweepJobOutcome`] never carries activity. Produces the same
+/// rows, bit for bit, as running [`run_job`] per corner on the originating
+/// program (pinned by the banked-replay tests): one decode, one dither
+/// batch, `M` corner outcomes.
 fn replay_seed_banked(
     digest: &TimingDigest,
     contexts: &[CornerContext],
@@ -1390,25 +1276,18 @@ fn replay_seed_banked(
 
 /// Runs one `(program, corner)` job: a single streaming simulation pass
 /// observed by the full policy stack against the corner's varied timing
-/// model. This is the single-phase reference implementation retained for
-/// [`pvt_sweep_direct`]; the production sweep replays digests instead.
-#[allow(clippy::too_many_arguments)] // mirrors the sweep config it unpacks
+/// model and policy tables. This is the scalar oracle — no digest, no
+/// [`CornerBank`] — behind [`pvt_sweep_direct`] and the banked-replay unit
+/// tests; the production sweep replays digests instead.
 fn run_job(
     simulator: &Simulator,
-    program: &idca_isa::Program,
-    nominal: &TimingModel,
-    variation: &VariationModel,
-    corner: &PvtCorner,
-    guarded_lut: &DelayLut,
+    program: &Program,
+    ctx: &CornerContext,
     faults: Option<&FaultPlan>,
     interrupts: Option<&InterruptSpec>,
     seed_index: u32,
 ) -> Result<SweepJobOutcome, PipelineError> {
-    let varied = variation.apply(nominal, corner);
-    let static_policy = StaticClock::of_model(&varied);
-    let lut_policy = InstructionBased::new(guarded_lut.clone());
-    let exec_only = ExecuteOnly::new(guarded_lut.clone());
-
+    let varied = &ctx.varied;
     // With interrupts the job simulates live: the handler is appended to
     // the program and a per-program controller drives the run, so the job
     // builds its own simulator (the plan's vector depends on the program).
@@ -1426,22 +1305,22 @@ fn run_job(
     };
 
     let mut ob_static = with_sweep_faults(
-        PolicyObserver::new(&varied, &static_policy, &ClockGenerator::Ideal),
+        PolicyObserver::new(varied, &ctx.static_policy, &ClockGenerator::Ideal),
         faults,
     )
     .with_interrupts(None, surge_factor);
     let mut ob_lut = with_sweep_faults(
-        PolicyObserver::new(&varied, &lut_policy, &ClockGenerator::Ideal),
+        PolicyObserver::new(varied, &ctx.lut_policy, &ClockGenerator::Ideal),
         faults,
     )
     .with_interrupts(None, surge_factor);
     let mut ob_exec = with_sweep_faults(
-        PolicyObserver::new(&varied, &exec_only, &ClockGenerator::Ideal),
+        PolicyObserver::new(varied, &ctx.exec_only, &ClockGenerator::Ideal),
         faults,
     )
     .with_interrupts(None, surge_factor);
     let mut ob_adaptive = AdaptiveObserver::new(
-        &varied,
+        varied,
         &AdaptiveConfig::default(),
         &ClockGenerator::Ideal,
         None,
@@ -1472,7 +1351,7 @@ fn run_job(
 
     Ok(SweepJobOutcome {
         seed_index,
-        corner_index: corner.index,
+        corner_index: ctx.corner_index,
         cycles: summary.cycles,
         irq_entries: ob_irq.entries,
         irq_handler_cycles: ob_irq.handler_cycles,
@@ -1691,51 +1570,34 @@ fn store_cached_digest(
 /// (simulating exactly once, parallel over seeds), phase 2 fans `N`
 /// per-seed corner-batched replays across rayon workers and folds the
 /// outcomes into one canonical [`SweepReport`] — byte-identical to the
-/// lane-by-lane [`pvt_sweep_lanewise`] and the single-phase
-/// [`pvt_sweep_direct`] at a fraction of the work.
+/// single-phase [`pvt_sweep_direct`] oracle at a fraction of the work.
+/// [`pvt_sweep_seed_range_timed_with_cache`] is the same engine with a
+/// seed range, a digest cache and the per-phase timing.
 ///
 /// # Errors
 ///
 /// Returns [`SweepError::JobFailed`] naming the first failing seed (in
 /// canonical order) if any program fails to simulate.
 pub fn pvt_sweep(config: &SweepConfig) -> Result<SweepReport, SweepError> {
-    Ok(pvt_sweep_timed(config)?.0)
+    Ok(pvt_sweep_seed_range_timed_with_cache(config, 0..config.seeds, None)?.0)
 }
 
-/// [`pvt_sweep`] with the per-phase wall-clock breakdown (perf harness).
+/// The production sweep engine underneath [`pvt_sweep`], with the
+/// per-phase wall-clock breakdown (perf harness).
 ///
-/// # Errors
+/// It runs only the seeds in `seed_range` (each against **all** corners)
+/// and returns a partial [`SweepReport`] whose header still describes the
+/// *full* sweep; `0..config.seeds` runs the whole sweep. Because per-seed
+/// jobs are independent, the partial rows are bit-identical to the same
+/// rows of the single-process run, so merging every shard of a partition
+/// reproduces that run exactly (see `shard::merge_reports`).
 ///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_timed(config: &SweepConfig) -> Result<(SweepReport, SweepTiming), SweepError> {
-    pvt_sweep_timed_with_cache(config, None)
-}
-
-/// [`pvt_sweep_timed`] with an optional persistent digest cache: when
-/// `cache_dir` is given, phase 1 loads each seed's digest from
-/// `digest-<seed>.bin` if a valid entry keyed by the exact
-/// `(program seed, generator-config hash, simulator version)` exists, and
-/// backfills the cache after simulating otherwise. A fully warm cache skips
-/// phase 1's simulations entirely ([`SweepTiming::simulated_programs`]
-/// is 0); the report is byte-identical either way, because the digest
-/// binary round-trip is bit-exact.
-///
-/// # Errors
-///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_timed_with_cache(
-    config: &SweepConfig,
-    cache_dir: Option<&Path>,
-) -> Result<(SweepReport, SweepTiming), SweepError> {
-    pvt_sweep_seed_range_timed_with_cache(config, 0..config.seeds, cache_dir)
-}
-
-/// The sharded engine underneath [`pvt_sweep_timed_with_cache`]: runs only
-/// the seeds in `seed_range` (each against **all** corners) and returns a
-/// partial [`SweepReport`] whose header still describes the *full* sweep.
-/// Because per-seed jobs are independent, the partial rows are bit-identical
-/// to the same rows of the single-process run, so merging every shard of a
-/// partition reproduces that run exactly (see `shard::merge_reports`).
+/// With a `cache_dir`, phase 1 loads each seed's digest from the cache if a
+/// valid entry keyed by the exact `(program seed, generator-config hash,
+/// simulator version)` exists, and backfills the cache after simulating
+/// otherwise. A fully warm cache skips phase 1's simulations entirely
+/// ([`SweepTiming::simulated_programs`] is 0); the report is byte-identical
+/// either way, because the digest binary round-trip is bit-exact.
 ///
 /// # Errors
 ///
@@ -1847,92 +1709,6 @@ pub fn pvt_sweep_seed_range_timed_with_cache(
     ))
 }
 
-/// The retained lane-by-lane two-phase engine: phase 1 is identical to
-/// [`pvt_sweep`], phase 2 replays each `(digest, corner)` pair as its own
-/// job through the scalar replay path. Kept (and exercised by the property
-/// tests) to pin the corner-batched kernel byte-identical; also the honest
-/// baseline for the banked-replay speedup measurement.
-///
-/// # Errors
-///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_lanewise(config: &SweepConfig) -> Result<SweepReport, SweepError> {
-    Ok(pvt_sweep_lanewise_timed(config)?.0)
-}
-
-/// [`pvt_sweep_lanewise`] with the per-phase wall-clock breakdown.
-///
-/// # Errors
-///
-/// Returns [`SweepError::JobFailed`] if any program fails to simulate.
-pub fn pvt_sweep_lanewise_timed(
-    config: &SweepConfig,
-) -> Result<(SweepReport, SweepTiming), SweepError> {
-    config.validate()?;
-    let (nominal, guarded_lut, corner_samples) = sweep_setup(config);
-
-    let start = Instant::now();
-    let simulator = Simulator::new(sim_config(config));
-    let irq_spec = config.active_interrupts();
-    let seed_indices: Vec<u32> = (0..config.seeds).collect();
-    let digests = collect_jobs(par_map(&seed_indices, |&i| {
-        let program_seed = nth_seed(config.master_seed, u64::from(i));
-        let program = generate_program(program_seed, &config.gen);
-        digest_seed(&simulator, &program, irq_spec.as_ref())
-            .map_err(|error| job_failed(i, program_seed, error))
-    }))?;
-    let simulate = start.elapsed();
-    let predecode = digests.iter().map(|(_, d)| *d).sum();
-
-    let start = Instant::now();
-    let plan = config.faults.map(|spec| FaultPlan::new(&spec));
-    let contexts: Vec<CornerContext> = corner_samples
-        .iter()
-        .map(|corner| CornerContext::new(&nominal, &config.variation, corner, &guarded_lut))
-        .collect();
-    let surge_factor = irq_spec.as_ref().map_or(1.0, |spec| 1.0 + spec.surge);
-    let timelines: Vec<Option<IrqTimeline>> = digests
-        .iter()
-        .map(|(digest, _)| {
-            irq_spec
-                .as_ref()
-                .map(|spec| IrqTimeline::from_events(digest.events(), spec.penalty))
-        })
-        .collect();
-    let jobs = job_list(config);
-    let outcomes = par_map(&jobs, |&(seed_index, corner_index)| {
-        let irq = timelines[seed_index as usize]
-            .as_ref()
-            .map(|timeline| IrqScenario {
-                timeline,
-                surge_factor,
-            });
-        replay_job(
-            &digests[seed_index as usize].0,
-            &contexts[corner_index as usize],
-            plan.as_ref(),
-            irq,
-            seed_index,
-        )
-    });
-    let replay = start.elapsed();
-
-    Ok((
-        finish_report(config, corner_samples, outcomes),
-        SweepTiming {
-            simulate,
-            predecode,
-            replay,
-            policy_replay: Duration::ZERO,
-            simulated_programs: config.seeds,
-            digest_cache_hits: 0,
-            proven_table_cycles: 0,
-            proven_adaptive_cycles: 0,
-            deferred_learn_cycles: 0,
-        },
-    ))
-}
-
 /// The single-phase reference sweep: every `(seed, corner)` job runs its
 /// own full pipeline simulation with the policy stack riding along, exactly
 /// like the original engine. Kept (and exercised by tests) to prove the
@@ -1954,15 +1730,16 @@ pub fn pvt_sweep_direct(config: &SweepConfig) -> Result<SweepReport, SweepError>
     let simulator = Simulator::new(sim_config(config));
     let plan = config.faults.map(|spec| FaultPlan::new(&spec));
     let irq_spec = config.active_interrupts();
+    let contexts: Vec<CornerContext> = corner_samples
+        .iter()
+        .map(|corner| CornerContext::new(&nominal, &config.variation, corner, &guarded_lut))
+        .collect();
     let jobs = job_list(config);
     let outcomes = collect_jobs(par_map(&jobs, |&(seed_index, corner_index)| {
         run_job(
             &simulator,
             &programs[seed_index as usize],
-            &nominal,
-            &config.variation,
-            &corner_samples[corner_index as usize],
-            &guarded_lut,
+            &contexts[corner_index as usize],
             plan.as_ref(),
             irq_spec.as_ref(),
             seed_index,
@@ -2006,7 +1783,6 @@ mod tests {
         };
         for result in [
             pvt_sweep(&config),
-            pvt_sweep_lanewise(&config),
             pvt_sweep_direct(&config),
             pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, None)
                 .map(|(report, _)| report),
@@ -2041,11 +1817,7 @@ mod tests {
                 corners,
                 ..SweepConfig::default()
             };
-            for result in [
-                pvt_sweep(&config),
-                pvt_sweep_lanewise(&config),
-                pvt_sweep_direct(&config),
-            ] {
+            for result in [pvt_sweep(&config), pvt_sweep_direct(&config)] {
                 let error = result.expect_err("degenerate shape must be rejected");
                 assert_eq!(error, SweepError::InvalidConfig { field });
                 let message = error.to_string();
@@ -2067,7 +1839,7 @@ mod tests {
     }
 
     #[test]
-    fn banked_sweep_is_byte_identical_to_lanewise_and_direct_references() {
+    fn banked_sweep_is_byte_identical_to_the_direct_reference() {
         // Corner counts deliberately straddle the SIMD lane width (3, 5) so
         // the padded lanes are exercised alongside exact multiples.
         for (seeds, corners, master_seed) in [(4, 3, 0x5EED), (6, 2, 7), (3, 5, 0xC0DE)] {
@@ -2078,20 +1850,19 @@ mod tests {
                 ..SweepConfig::default()
             };
             let banked = pvt_sweep(&config).expect("sweep runs");
-            let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
             let direct = pvt_sweep_direct(&config).expect("sweep runs");
             // Bit-identical job rows (f64 equality), not just rendered text.
-            assert_eq!(banked, lanewise, "{seeds}x{corners}@{master_seed:#x}");
             assert_eq!(banked, direct, "{seeds}x{corners}@{master_seed:#x}");
             assert_eq!(banked.render(), direct.render());
         }
     }
 
     /// Replays every seed of `config` through the production banked walk
-    /// and, as the independent oracle, through the scalar per-corner
-    /// [`replay_job`], after passing each corner's varied model through
-    /// `vary` (to build banks the proof must refuse). Returns, per seed,
-    /// the banked rows, their proven-cycle counters and the scalar rows.
+    /// and, as the independent oracle, simulates it live per corner through
+    /// the scalar [`run_job`], after passing each corner's varied model
+    /// through `vary` (to build banks the proof must refuse). Returns, per
+    /// seed, the banked rows, their proven-cycle counters and the scalar
+    /// rows.
     fn replay_banked_and_scalar(
         config: &SweepConfig,
         vary: impl Fn(TimingModel) -> TimingModel,
@@ -2121,8 +1892,9 @@ mod tests {
                     replay_seed_banked(&digest, &contexts, &bank, None, None, seed);
                 let scalar = contexts
                     .iter()
-                    .map(|ctx| replay_job(&digest, ctx, None, None, seed))
-                    .collect();
+                    .map(|ctx| run_job(&simulator, &program, ctx, None, None, seed))
+                    .collect::<Result<_, _>>()
+                    .expect("program runs");
                 (rows, proven, scalar)
             })
             .collect()
@@ -2249,7 +2021,8 @@ mod tests {
 
         // Cold: everything is simulated and the cache is populated.
         let (cold, cold_timing) =
-            pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, Some(&dir))
+                .expect("sweep runs");
         assert_eq!(cold_timing.simulated_programs, config.seeds);
         assert_eq!(cold_timing.digest_cache_hits, 0);
         let entries = std::fs::read_dir(&dir).expect("cache dir readable").count();
@@ -2257,7 +2030,8 @@ mod tests {
 
         // Warm: nothing is simulated; the report is byte-identical.
         let (warm, warm_timing) =
-            pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, Some(&dir))
+                .expect("sweep runs");
         assert_eq!(warm_timing.simulated_programs, 0);
         assert_eq!(warm_timing.digest_cache_hits, config.seeds);
         assert_eq!(warm, cold);
@@ -2273,7 +2047,8 @@ mod tests {
         bytes[16] ^= 0x01;
         std::fs::write(&path, &bytes).expect("entry is writable");
         let (stale, stale_timing) =
-            pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, Some(&dir))
+                .expect("sweep runs");
         assert_eq!(stale_timing.simulated_programs, 1);
         assert_eq!(stale_timing.digest_cache_hits, config.seeds - 1);
         assert_eq!(stale, cold);
@@ -2290,7 +2065,8 @@ mod tests {
         let bytes = std::fs::read(&path).expect("entry was rewritten after quarantine");
         std::fs::write(&path, &bytes[..bytes.len() - 3]).expect("entry is writable");
         let (corrupt, corrupt_timing) =
-            pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, Some(&dir))
+                .expect("sweep runs");
         assert_eq!(corrupt_timing.simulated_programs, 1);
         assert_eq!(corrupt, cold);
         let corrupt_bytes = std::fs::read(&quarantined).expect("corrupt entry is quarantined");
@@ -2307,10 +2083,13 @@ mod tests {
             },
             ..config.clone()
         };
-        let (_, other_timing) = pvt_sweep_timed_with_cache(&other, Some(&dir)).expect("sweep runs");
+        let (_, other_timing) =
+            pvt_sweep_seed_range_timed_with_cache(&other, 0..other.seeds, Some(&dir))
+                .expect("sweep runs");
         assert_eq!(other_timing.digest_cache_hits, 0);
         let (_, rewarm_timing) =
-            pvt_sweep_timed_with_cache(&config, Some(&dir)).expect("sweep runs");
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, Some(&dir))
+                .expect("sweep runs");
         assert_eq!(rewarm_timing.digest_cache_hits, config.seeds);
 
         let _ = std::fs::remove_dir_all(&dir);
@@ -2331,9 +2110,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("sweep runs");
-        let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
         let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, lanewise, "banked vs lanewise under faults");
         assert_eq!(banked, direct, "banked vs live under faults");
         assert_eq!(banked.render(), direct.render());
 
@@ -2388,9 +2165,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("sweep runs");
-        let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
         let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, lanewise, "banked vs lanewise under interrupts");
         assert_eq!(banked, direct, "banked replay vs live under interrupts");
         assert_eq!(banked.render(), direct.render());
 
@@ -2471,9 +2246,7 @@ mod tests {
             ..SweepConfig::default()
         };
         let banked = pvt_sweep(&config).expect("sweep runs");
-        let lanewise = pvt_sweep_lanewise(&config).expect("sweep runs");
         let direct = pvt_sweep_direct(&config).expect("sweep runs");
-        assert_eq!(banked, lanewise, "banked vs lanewise, faults+interrupts");
         assert_eq!(banked, direct, "banked vs live, faults+interrupts");
         assert!(banked.irq_entries() > 0);
         // Fault recovery still classifies every violation, entry or not.

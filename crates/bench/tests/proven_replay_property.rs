@@ -15,7 +15,7 @@
 //! [`FaultPlan::stage_factors`] and [`IrqTimeline::phase_at`] on a fresh
 //! simulation, without the replay code.
 
-use idca_bench::sweep::{pvt_sweep_direct, pvt_sweep_timed};
+use idca_bench::sweep::{pvt_sweep_direct, pvt_sweep_seed_range_timed_with_cache};
 use idca_bench::{FaultPlan, FaultSpec, InterruptSpec, SweepConfig};
 use idca_gen::{generate_program, nth_seed};
 use idca_pipeline::{DigestObserver, InterruptPlan, IrqPhase, SimConfig, Simulator};
@@ -114,7 +114,9 @@ proptest! {
                 let unperturbed = unperturbed_cycles(&scenario);
                 for corners in 1..=9u32 {
                     let config = SweepConfig { corners, ..scenario.clone() };
-                    let (banked, timing) = pvt_sweep_timed(&config).expect("banked sweep runs");
+                    let (banked, timing) =
+                        pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, None)
+                            .expect("banked sweep runs");
                     let direct = pvt_sweep_direct(&config).expect("direct sweep runs");
                     let label = format!(
                         "{seeds}x{corners}@{master_seed:#x} faults={} irq={}",

@@ -6,7 +6,7 @@
 //! — realized-time, violation, fault-recovery and min/max folds — into
 //! [`LANE_WIDTH`]-padded structure-of-arrays lanes, so a digest replay
 //! updates all `M` corners of one policy in contiguous loops instead of
-//! `M` scalar `observe_timing_prepared` calls per cycle.
+//! `M` scalar `observe_timing_prepared_phased` calls per cycle.
 //!
 //! The bank exploits a structural property of the table-driven policies
 //! (static / instruction-based / execute-only): their requested period
@@ -575,7 +575,8 @@ mod tests {
 
     /// Drives a bank and the scalar reference over the same digest and
     /// asserts bit-identical outcomes (modulo the activity fold, which the
-    /// scalar reference also skips on the `observe_timing_prepared` path).
+    /// scalar reference also skips on the `observe_timing_prepared_phased`
+    /// path).
     fn assert_bank_matches_scalar(models: &[TimingModel], faults: Option<FaultPlan>) {
         let digest = digest();
         let generator = ClockGenerator::quantized_50ps();
@@ -625,7 +626,7 @@ mod tests {
                     Some(plan) => plan.faulted(cycle, &timing),
                     None => timing,
                 };
-                observer.observe_timing_prepared(requests[corner], &timing);
+                observer.observe_timing_prepared_phased(requests[corner], &timing, false);
             });
             observer.finish(&digest.summary());
             assert_eq!(*expected, observer.into_outcome(), "corner {corner}");

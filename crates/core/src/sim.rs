@@ -247,8 +247,8 @@ impl<'a> PolicyObserver<'a> {
 
     /// [`PolicyObserver::observe_digest`] with the cycle's [`CycleTiming`]
     /// already evaluated, so several observers riding the same replay (the
-    /// PVT sweep folds four policies per digest) share one model
-    /// evaluation per cycle.
+    /// suite evaluation folds a baseline and a dynamic policy per digest)
+    /// share one model evaluation per cycle.
     pub fn observe_digest_timed(
         &mut self,
         cycle: u64,
@@ -262,37 +262,13 @@ impl<'a> PolicyObserver<'a> {
     }
 
     /// [`PolicyObserver::observe_digest_timed`] with the policy's requested
-    /// period also precomputed. The table-driven policies decide from the
-    /// digest classes alone, so a caller replaying several corners
-    /// evaluates [`ClockPolicy::digest_period_ps`] once per cycle and feeds
-    /// the identical value to every corner instead of re-deriving it per
-    /// lane.
-    pub fn observe_digest_prepared(
-        &mut self,
-        requested: Ps,
-        digest_cycle: &DigestCycle,
-        timing: &CycleTiming,
-    ) {
-        self.step(requested, timing.max_delay_ps, false);
-        self.activity.observe_digest(digest_cycle);
-    }
-
-    /// [`PolicyObserver::observe_digest_prepared`] without the
-    /// switching-activity fold, for callers that discard
-    /// [`RunOutcome::activity`] (the PVT sweep keeps only violations and
-    /// frequencies, so folding the same digest's activity once per policy
-    /// per corner was pure overhead on the banked path). Every other
-    /// outcome field is accumulated identically; the outcome's activity
-    /// summary stays at its empty default.
-    pub fn observe_timing_prepared(&mut self, requested: Ps, timing: &CycleTiming) {
-        self.step(requested, timing.max_delay_ps, false);
-    }
-
-    /// [`PolicyObserver::observe_timing_prepared`] with the cycle's
-    /// interrupt-entry classification supplied by the caller (the banked
-    /// sweep derives it once per cycle from a shared [`IrqCursor`] instead
-    /// of attaching one cursor per observer). The caller must also have
-    /// applied the entry surge to `timing` on entry cycles.
+    /// period precomputed and the cycle's interrupt-entry classification
+    /// supplied by the caller, for callers that discard
+    /// [`RunOutcome::activity`] (no switching-activity fold; the outcome's
+    /// activity summary stays at its empty default, every other field is
+    /// accumulated identically). The caller must also have applied the
+    /// fault perturbation and, on entry cycles, the entry surge to
+    /// `timing`.
     pub fn observe_timing_prepared_phased(
         &mut self,
         requested: Ps,

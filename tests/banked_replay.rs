@@ -2,8 +2,8 @@
 //! binary codec, over *random* inputs:
 //!
 //! * replaying a digest against `M` corner-varied models through the SIMD
-//!   [`CornerBank`] lanes must be **bit-identical** to the retained
-//!   lane-by-lane scalar replay, for every policy, for corner counts on
+//!   [`CornerBank`] lanes must be **bit-identical** to a per-corner
+//!   scalar replay, for every policy, for corner counts on
 //!   both sides of (and straddling) the lane width — padding lanes must be
 //!   inert;
 //! * serializing a digest and loading it back must reproduce the identical
@@ -208,8 +208,8 @@ proptest! {
         let out_exec = bank_exec.into_outcomes();
         let out_adaptive = adaptive.into_outcomes();
 
-        // Scalar reference: per corner, the prepared-timing observers the
-        // lane-by-lane engine runs.
+        // Scalar reference: one stack of prepared-timing observers per
+        // corner.
         for (corner, model) in models.iter().enumerate() {
             let static_policy = StaticClock::new(static_requests[corner]);
             let mut ob_static = PolicyObserver::new(model, &static_policy, &generator);
