@@ -31,7 +31,8 @@
 //! # }
 //! ```
 
-use crate::{Insn, IsaError, Program, ProgramBuilder, Reg, SetFlagCond, INSN_BYTES};
+use crate::table::{Format, Operand, TABLE};
+use crate::{Insn, IsaError, Program, ProgramBuilder, Reg, INSN_BYTES};
 use std::collections::BTreeMap;
 
 /// Two-pass assembler producing [`Program`] images.
@@ -309,190 +310,39 @@ fn parse_instruction(
     let perr = |message: String| IsaError::ParseError { line, message };
     let (mnemonic, rest) = stmt.split_once(char::is_whitespace).unwrap_or((stmt, ""));
     let mnemonic = mnemonic.to_ascii_lowercase();
+    let row = TABLE
+        .iter()
+        .find(|row| row.mnemonic == mnemonic)
+        .ok_or_else(|| perr(format!("unknown mnemonic `{mnemonic}`")))?;
     let ops = split_operands(rest);
-
-    let need = |n: usize| -> Result<(), IsaError> {
-        if ops.len() == n {
-            Ok(())
-        } else {
-            Err(perr(format!(
-                "`{mnemonic}` expects {n} operand(s), found {}",
-                ops.len()
-            )))
-        }
-    };
-    let reg = |i: usize| parse_reg(&ops[i]).map_err(&perr);
-    let imm = |i: usize| parse_i32(&ops[i]).map_err(&perr);
-
-    // Register-register ALU instructions share the `rD, rA, rB` shape.
-    let rrr: Option<fn(Reg, Reg, Reg) -> Insn> = match mnemonic.as_str() {
-        "l.add" => Some(Insn::add),
-        "l.addc" => Some(Insn::addc),
-        "l.sub" => Some(Insn::sub),
-        "l.and" => Some(Insn::and),
-        "l.or" => Some(Insn::or),
-        "l.xor" => Some(Insn::xor),
-        "l.mul" => Some(Insn::mul),
-        "l.mulu" => Some(Insn::mulu),
-        "l.sll" => Some(Insn::sll),
-        "l.srl" => Some(Insn::srl),
-        "l.sra" => Some(Insn::sra),
-        "l.ror" => Some(Insn::ror),
-        "l.cmov" => Some(Insn::cmov),
-        _ => None,
-    };
-    if let Some(ctor) = rrr {
-        need(3)?;
-        return Ok(ctor(reg(0)?, reg(1)?, reg(2)?));
+    let syntax = row.facts.format.syntax();
+    // `l.nop`'s tag may be omitted.
+    let optional = row.facts.format == Format::NopU16 && ops.is_empty();
+    if ops.len() != syntax.len() && !optional {
+        return Err(perr(format!(
+            "`{mnemonic}` expects {} operand(s), found {}",
+            syntax.len(),
+            ops.len()
+        )));
     }
-
-    // Immediate ALU instructions share the `rD, rA, imm` shape.
-    match mnemonic.as_str() {
-        "l.addi" => {
-            need(3)?;
-            return Insn::addi(reg(0)?, reg(1)?, imm(2)?);
+    let (mut rd, mut ra, mut rb, mut imm) = (Reg::R0, Reg::R0, Reg::R0, 0);
+    for (operand, text) in syntax.iter().zip(&ops) {
+        match operand {
+            Operand::Rd => rd = parse_reg(text).map_err(perr)?,
+            Operand::Ra => ra = parse_reg(text).map_err(perr)?,
+            Operand::Rb => rb = parse_reg(text).map_err(perr)?,
+            Operand::Imm | Operand::HexImm => imm = parse_i32(text).map_err(perr)?,
+            Operand::Mem => (imm, ra) = parse_mem_operand(text).map_err(perr)?,
+            Operand::Target => imm = resolve_target(text, address, labels).map_err(perr)?,
         }
-        "l.addic" => {
-            need(3)?;
-            return Insn::addic(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.andi" => {
-            need(3)?;
-            return Insn::andi(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.ori" => {
-            need(3)?;
-            return Insn::ori(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.xori" => {
-            need(3)?;
-            return Insn::xori(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.muli" => {
-            need(3)?;
-            return Insn::muli(reg(0)?, reg(1)?, imm(2)?);
-        }
-        "l.slli" => {
-            need(3)?;
-            return Insn::slli(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.srli" => {
-            need(3)?;
-            return Insn::srli(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.srai" => {
-            need(3)?;
-            return Insn::srai(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.rori" => {
-            need(3)?;
-            return Insn::rori(reg(0)?, reg(1)?, imm(2)? as u32);
-        }
-        "l.movhi" => {
-            need(2)?;
-            return Insn::movhi(reg(0)?, imm(1)? as u32 & 0xFFFF);
-        }
-        "l.extbs" => {
-            need(2)?;
-            return Ok(Insn::extbs(reg(0)?, reg(1)?));
-        }
-        "l.exths" => {
-            need(2)?;
-            return Ok(Insn::exths(reg(0)?, reg(1)?));
-        }
-        "l.nop" => {
-            let k = if ops.is_empty() { 0 } else { imm(0)? };
-            return Ok(Insn::nop(k as u16));
-        }
-        "l.rfe" => {
-            need(0)?;
-            return Ok(Insn::rfe());
-        }
-        "l.jr" => {
-            need(1)?;
-            return Ok(Insn::jr(reg(0)?));
-        }
-        "l.jalr" => {
-            need(1)?;
-            return Ok(Insn::jalr(reg(0)?));
-        }
-        _ => {}
     }
-
-    // Set-flag comparisons: l.sf<cond>[i].
-    if let Some(suffix) = mnemonic.strip_prefix("l.sf") {
-        let (cond_text, is_imm) = match suffix.strip_suffix('i') {
-            // `l.sfnei` ends with `i`; but plain `l.sfgeui` also ends in `i`
-            // after stripping we must still find a valid condition.
-            Some(stripped) if SetFlagCond::ALL.iter().any(|c| c.suffix() == stripped) => {
-                (stripped, true)
-            }
-            _ => (suffix, false),
-        };
-        let cond = SetFlagCond::ALL
-            .into_iter()
-            .find(|c| c.suffix() == cond_text)
-            .ok_or_else(|| perr(format!("unknown set-flag condition in `{mnemonic}`")))?;
-        need(2)?;
-        return if is_imm {
-            Insn::sfi(cond, reg(0)?, imm(1)?)
-        } else {
-            Ok(Insn::sf(cond, reg(0)?, parse_reg(&ops[1]).map_err(&perr)?))
-        };
-    }
-
-    // Loads: `rD, offset(rA)`.
-    type LoadCtor = fn(Reg, i32, Reg) -> Result<Insn, IsaError>;
-    let load: Option<LoadCtor> = match mnemonic.as_str() {
-        "l.lwz" => Some(Insn::lwz),
-        "l.lws" => Some(Insn::lws),
-        "l.lhz" => Some(Insn::lhz),
-        "l.lhs" => Some(Insn::lhs),
-        "l.lbz" => Some(Insn::lbz),
-        "l.lbs" => Some(Insn::lbs),
-        _ => None,
-    };
-    if let Some(ctor) = load {
-        need(2)?;
-        let (offset, ra) = parse_mem_operand(&ops[1]).map_err(&perr)?;
-        return ctor(reg(0)?, offset, ra);
-    }
-
-    // Stores: `offset(rA), rB`.
-    type StoreCtor = fn(i32, Reg, Reg) -> Result<Insn, IsaError>;
-    let store: Option<StoreCtor> = match mnemonic.as_str() {
-        "l.sw" => Some(Insn::sw),
-        "l.sh" => Some(Insn::sh),
-        "l.sb" => Some(Insn::sb),
-        _ => None,
-    };
-    if let Some(ctor) = store {
-        need(2)?;
-        let (offset, ra) = parse_mem_operand(&ops[0]).map_err(&perr)?;
-        return ctor(offset, ra, parse_reg(&ops[1]).map_err(&perr)?);
-    }
-
-    // PC-relative control flow: operand is a label or a word offset.
-    let jump: Option<fn(i32) -> Result<Insn, IsaError>> = match mnemonic.as_str() {
-        "l.j" => Some(Insn::j),
-        "l.jal" => Some(Insn::jal),
-        "l.bf" => Some(Insn::bf),
-        "l.bnf" => Some(Insn::bnf),
-        _ => None,
-    };
-    if let Some(ctor) = jump {
-        need(1)?;
-        let offset = resolve_target(&ops[0], address, labels).map_err(&perr)?;
-        return ctor(offset);
-    }
-
-    Err(perr(format!("unknown mnemonic `{mnemonic}`")))
+    Insn::checked(row.opcode, rd, ra, rb, imm.into())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Opcode, TimingClass};
+    use crate::{Opcode, SetFlagCond, TimingClass};
 
     #[test]
     fn assembles_loop_with_labels() {

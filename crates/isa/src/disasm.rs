@@ -1,7 +1,8 @@
 //! Disassembly of instructions and program images into OpenRISC assembly
 //! syntax, mainly used for traces, debugging and the paper-style reports.
 
-use crate::{Insn, Opcode, Program};
+use crate::table::Operand;
+use crate::{Insn, Program, Reg};
 
 /// Formats a single instruction using OpenRISC assembly syntax.
 ///
@@ -19,43 +20,27 @@ use crate::{Insn, Opcode, Program};
 /// ```
 #[must_use]
 pub fn format_insn(insn: &Insn) -> String {
-    let m = insn.opcode().mnemonic();
-    let rd = insn.rd();
-    let ra = insn.ra();
-    let rb = insn.rb();
-    let imm = insn.imm();
-    match insn.opcode() {
-        Opcode::Nop => format!("{m} {}", imm.unwrap_or(0)),
-        Opcode::Movhi => format!(
-            "{m} {}, {:#x}",
-            rd.unwrap(),
-            imm.unwrap_or(0) as u32 & 0xFFFF
-        ),
-        Opcode::J | Opcode::Jal | Opcode::Bf | Opcode::Bnf => {
-            format!("{m} {}", imm.unwrap_or(0))
-        }
-        Opcode::Jr | Opcode::Jalr => format!("{m} {}", rb.unwrap()),
-        Opcode::Lwz | Opcode::Lws | Opcode::Lhz | Opcode::Lhs | Opcode::Lbz | Opcode::Lbs => {
-            format!("{m} {}, {}({})", rd.unwrap(), imm.unwrap_or(0), ra.unwrap())
-        }
-        Opcode::Sw | Opcode::Sh | Opcode::Sb => {
-            format!("{m} {}({}), {}", imm.unwrap_or(0), ra.unwrap(), rb.unwrap())
-        }
-        Opcode::Rfe => m,
-        Opcode::Sf(_) => format!("{m} {}, {}", ra.unwrap(), rb.unwrap()),
-        Opcode::Sfi(_) => format!("{m} {}, {}", ra.unwrap(), imm.unwrap_or(0)),
-        Opcode::Extbs | Opcode::Exths => format!("{m} {}, {}", rd.unwrap(), ra.unwrap()),
-        Opcode::Slli | Opcode::Srli | Opcode::Srai | Opcode::Rori => {
-            format!("{m} {}, {}, {}", rd.unwrap(), ra.unwrap(), imm.unwrap_or(0))
-        }
-        _ => {
-            // Remaining formats: rD, rA, rB or rD, rA, imm.
-            if let Some(rb) = rb {
-                format!("{m} {}, {}, {}", rd.unwrap(), ra.unwrap(), rb)
-            } else {
-                format!("{m} {}, {}, {}", rd.unwrap(), ra.unwrap(), imm.unwrap_or(0))
-            }
-        }
+    let row = insn.opcode().row();
+    let reg = |reg: Option<Reg>| reg.unwrap_or(Reg::R0);
+    let imm = insn.imm().unwrap_or(0);
+    let operands: Vec<String> = row
+        .facts
+        .format
+        .syntax()
+        .iter()
+        .map(|operand| match operand {
+            Operand::Rd => reg(insn.rd()).to_string(),
+            Operand::Ra => reg(insn.ra()).to_string(),
+            Operand::Rb => reg(insn.rb()).to_string(),
+            Operand::Imm | Operand::Target => imm.to_string(),
+            Operand::HexImm => format!("{:#x}", imm as u32),
+            Operand::Mem => format!("{imm}({})", reg(insn.ra())),
+        })
+        .collect();
+    if operands.is_empty() {
+        row.mnemonic.to_string()
+    } else {
+        format!("{} {}", row.mnemonic, operands.join(", "))
     }
 }
 

@@ -1,3 +1,4 @@
+use crate::table::{self, Format};
 use crate::{IsaError, Opcode, Reg, SetFlagCond, TimingClass};
 use serde::{Deserialize, Serialize};
 use std::fmt;
@@ -44,33 +45,6 @@ pub struct Insn {
     operands: Operands,
 }
 
-fn check_signed(mnemonic: &'static str, value: i64, bits: u32) -> Result<(), IsaError> {
-    let min = -(1i64 << (bits - 1));
-    let max = (1i64 << (bits - 1)) - 1;
-    if value < min || value > max {
-        return Err(IsaError::ImmediateOutOfRange {
-            mnemonic,
-            value,
-            bits,
-            signed: true,
-        });
-    }
-    Ok(())
-}
-
-fn check_unsigned(mnemonic: &'static str, value: i64, bits: u32) -> Result<(), IsaError> {
-    let max = (1i64 << bits) - 1;
-    if value < 0 || value > max {
-        return Err(IsaError::ImmediateOutOfRange {
-            mnemonic,
-            value,
-            bits,
-            signed: false,
-        });
-    }
-    Ok(())
-}
-
 impl Insn {
     /// Creates an instruction from an opcode and a raw operand bundle.
     ///
@@ -90,6 +64,7 @@ impl Insn {
     }
 
     /// The timing class (delay-LUT key) of this instruction.
+    #[inline]
     #[must_use]
     pub fn timing_class(&self) -> TimingClass {
         self.opcode.timing_class()
@@ -148,32 +123,47 @@ impl Insn {
         }
     }
 
+    /// Builds `opcode` from operand fields, keeping the ones its format
+    /// has. The immediate is not range-checked.
+    fn with_fields(opcode: Opcode, rd: Reg, ra: Reg, rb: Reg, imm: i32) -> Self {
+        let format = opcode.facts().format;
+        Insn {
+            opcode,
+            operands: Operands {
+                rd: format.has_rd().then_some(rd),
+                ra: format.has_ra().then_some(ra),
+                rb: format.has_rb().then_some(rb),
+                imm: format.imm().map(|_| imm),
+            },
+        }
+    }
+
+    /// [`Insn::with_fields`] after checking `imm` against the format's
+    /// immediate field.
+    pub(crate) fn checked(
+        opcode: Opcode,
+        rd: Reg,
+        ra: Reg,
+        rb: Reg,
+        imm: i64,
+    ) -> Result<Self, IsaError> {
+        let imm = match opcode.facts().format.imm() {
+            Some(field) => field.check(opcode, imm)?,
+            None => 0,
+        };
+        Ok(Self::with_fields(opcode, rd, ra, rb, imm))
+    }
+
     // ---------------------------------------------------------------------
     // Typed constructors (register-register ALU)
     // ---------------------------------------------------------------------
 
     fn rrr(opcode: Opcode, rd: Reg, ra: Reg, rb: Reg) -> Self {
-        Insn {
-            opcode,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::with_fields(opcode, rd, ra, rb, 0)
     }
 
-    fn rri(opcode: Opcode, rd: Reg, ra: Reg, imm: i32) -> Self {
-        Insn {
-            opcode,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: Some(imm),
-            },
-        }
+    fn rri(opcode: Opcode, rd: Reg, ra: Reg, imm: i64) -> Result<Self, IsaError> {
+        Self::checked(opcode, rd, ra, Reg::R0, imm)
     }
 
     /// `l.add rD, rA, rB`
@@ -257,29 +247,13 @@ impl Insn {
     /// `l.extbs rD, rA`
     #[must_use]
     pub fn extbs(rd: Reg, ra: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Extbs,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: None,
-            },
-        }
+        Self::rrr(Opcode::Extbs, rd, ra, Reg::R0)
     }
 
     /// `l.exths rD, rA`
     #[must_use]
     pub fn exths(rd: Reg, ra: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Exths,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: None,
-            },
-        }
+        Self::rrr(Opcode::Exths, rd, ra, Reg::R0)
     }
 
     // ---------------------------------------------------------------------
@@ -292,8 +266,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn addi(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.addi", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Addi, rd, ra, imm))
+        Self::rri(Opcode::Addi, rd, ra, imm.into())
     }
 
     /// `l.addic rD, rA, I` (add immediate with carry-in).
@@ -302,8 +275,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn addic(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.addic", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Addic, rd, ra, imm))
+        Self::rri(Opcode::Addic, rd, ra, imm.into())
     }
 
     /// `l.andi rD, rA, K` with an unsigned 16-bit immediate.
@@ -312,8 +284,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn andi(rd: Reg, ra: Reg, imm: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.andi", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Andi, rd, ra, imm as i32))
+        Self::rri(Opcode::Andi, rd, ra, imm.into())
     }
 
     /// `l.ori rD, rA, K` with an unsigned 16-bit immediate.
@@ -322,8 +293,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn ori(rd: Reg, ra: Reg, imm: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.ori", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Ori, rd, ra, imm as i32))
+        Self::rri(Opcode::Ori, rd, ra, imm.into())
     }
 
     /// `l.xori rD, rA, I` with a signed 16-bit immediate.
@@ -332,8 +302,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn xori(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.xori", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Xori, rd, ra, imm))
+        Self::rri(Opcode::Xori, rd, ra, imm.into())
     }
 
     /// `l.muli rD, rA, I` with a signed 16-bit immediate.
@@ -342,8 +311,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn muli(rd: Reg, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.muli", imm.into(), 16)?;
-        Ok(Self::rri(Opcode::Muli, rd, ra, imm))
+        Self::rri(Opcode::Muli, rd, ra, imm.into())
     }
 
     /// `l.slli rD, rA, L` with a shift amount in `0..32`.
@@ -352,8 +320,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn slli(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.slli", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Slli, rd, ra, amount as i32))
+        Self::rri(Opcode::Slli, rd, ra, amount.into())
     }
 
     /// `l.srli rD, rA, L` with a shift amount in `0..32`.
@@ -362,8 +329,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn srli(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.srli", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Srli, rd, ra, amount as i32))
+        Self::rri(Opcode::Srli, rd, ra, amount.into())
     }
 
     /// `l.srai rD, rA, L` with a shift amount in `0..32`.
@@ -372,8 +338,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn srai(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.srai", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Srai, rd, ra, amount as i32))
+        Self::rri(Opcode::Srai, rd, ra, amount.into())
     }
 
     /// `l.rori rD, rA, L` with a rotate amount in `0..32`.
@@ -382,8 +347,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `amount >= 32`.
     pub fn rori(rd: Reg, ra: Reg, amount: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.rori", amount.into(), 5)?;
-        Ok(Self::rri(Opcode::Rori, rd, ra, amount as i32))
+        Self::rri(Opcode::Rori, rd, ra, amount.into())
     }
 
     /// `l.movhi rD, K` with an unsigned 16-bit immediate.
@@ -392,16 +356,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn movhi(rd: Reg, imm: u32) -> Result<Self, IsaError> {
-        check_unsigned("l.movhi", imm.into(), 16)?;
-        Ok(Insn {
-            opcode: Opcode::Movhi,
-            operands: Operands {
-                rd: Some(rd),
-                ra: None,
-                rb: None,
-                imm: Some(imm as i32),
-            },
-        })
+        Self::rri(Opcode::Movhi, rd, Reg::R0, imm.into())
     }
 
     // ---------------------------------------------------------------------
@@ -411,15 +366,7 @@ impl Insn {
     /// `l.sf<cond> rA, rB`
     #[must_use]
     pub fn sf(cond: SetFlagCond, ra: Reg, rb: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Sf(cond),
-            operands: Operands {
-                rd: None,
-                ra: Some(ra),
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::rrr(Opcode::Sf(cond), Reg::R0, ra, rb)
     }
 
     /// `l.sf<cond>i rA, I` with a signed 16-bit immediate.
@@ -428,16 +375,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if `imm` does not fit.
     pub fn sfi(cond: SetFlagCond, ra: Reg, imm: i32) -> Result<Self, IsaError> {
-        check_signed("l.sf*i", imm.into(), 16)?;
-        Ok(Insn {
-            opcode: Opcode::Sfi(cond),
-            operands: Operands {
-                rd: None,
-                ra: Some(ra),
-                rb: None,
-                imm: Some(imm),
-            },
-        })
+        Self::rri(Opcode::Sfi(cond), Reg::R0, ra, imm.into())
     }
 
     // ---------------------------------------------------------------------
@@ -445,29 +383,11 @@ impl Insn {
     // ---------------------------------------------------------------------
 
     fn load(opcode: Opcode, rd: Reg, offset: i32, ra: Reg) -> Result<Self, IsaError> {
-        check_signed("load", offset.into(), 16)?;
-        Ok(Insn {
-            opcode,
-            operands: Operands {
-                rd: Some(rd),
-                ra: Some(ra),
-                rb: None,
-                imm: Some(offset),
-            },
-        })
+        Self::rri(opcode, rd, ra, offset.into())
     }
 
     fn store(opcode: Opcode, offset: i32, ra: Reg, rb: Reg) -> Result<Self, IsaError> {
-        check_signed("store", offset.into(), 16)?;
-        Ok(Insn {
-            opcode,
-            operands: Operands {
-                rd: None,
-                ra: Some(ra),
-                rb: Some(rb),
-                imm: Some(offset),
-            },
-        })
+        Self::checked(opcode, Reg::R0, ra, rb, offset.into())
     }
 
     /// `l.lwz rD, I(rA)` — load word.
@@ -556,17 +476,8 @@ impl Insn {
     // Control flow
     // ---------------------------------------------------------------------
 
-    fn pc_rel(opcode: Opcode, mnemonic: &'static str, word_offset: i32) -> Result<Self, IsaError> {
-        check_signed(mnemonic, word_offset.into(), 26)?;
-        Ok(Insn {
-            opcode,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: None,
-                imm: Some(word_offset),
-            },
-        })
+    fn pc_rel(opcode: Opcode, word_offset: i32) -> Result<Self, IsaError> {
+        Self::checked(opcode, Reg::R0, Reg::R0, Reg::R0, word_offset.into())
     }
 
     /// `l.j N` — PC-relative jump by `word_offset` instruction words.
@@ -575,7 +486,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn j(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::J, "l.j", word_offset)
+        Self::pc_rel(Opcode::J, word_offset)
     }
 
     /// `l.jal N` — jump and link.
@@ -584,7 +495,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn jal(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::Jal, "l.jal", word_offset)
+        Self::pc_rel(Opcode::Jal, word_offset)
     }
 
     /// `l.bf N` — branch (if flag) by `word_offset` instruction words.
@@ -593,7 +504,7 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn bf(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::Bf, "l.bf", word_offset)
+        Self::pc_rel(Opcode::Bf, word_offset)
     }
 
     /// `l.bnf N` — branch (if flag clear) by `word_offset` instruction words.
@@ -602,58 +513,31 @@ impl Insn {
     ///
     /// Returns [`IsaError::ImmediateOutOfRange`] if the offset exceeds 26 bits.
     pub fn bnf(word_offset: i32) -> Result<Self, IsaError> {
-        Self::pc_rel(Opcode::Bnf, "l.bnf", word_offset)
+        Self::pc_rel(Opcode::Bnf, word_offset)
     }
 
     /// `l.jr rB` — jump to the address in `rB`.
     #[must_use]
     pub fn jr(rb: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Jr,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::rrr(Opcode::Jr, Reg::R0, Reg::R0, rb)
     }
 
     /// `l.jalr rB` — jump to the address in `rB` and link.
     #[must_use]
     pub fn jalr(rb: Reg) -> Self {
-        Insn {
-            opcode: Opcode::Jalr,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: Some(rb),
-                imm: None,
-            },
-        }
+        Self::rrr(Opcode::Jalr, Reg::R0, Reg::R0, rb)
     }
 
     /// `l.rfe` — return from exception to the saved exception PC.
     #[must_use]
     pub fn rfe() -> Self {
-        Insn {
-            opcode: Opcode::Rfe,
-            operands: Operands::default(),
-        }
+        Self::rrr(Opcode::Rfe, Reg::R0, Reg::R0, Reg::R0)
     }
 
     /// `l.nop K`.
     #[must_use]
     pub fn nop(k: u16) -> Self {
-        Insn {
-            opcode: Opcode::Nop,
-            operands: Operands {
-                rd: None,
-                ra: None,
-                rb: None,
-                imm: Some(k as i32),
-            },
-        }
+        Self::with_fields(Opcode::Nop, Reg::R0, Reg::R0, Reg::R0, k.into())
     }
 
     // ---------------------------------------------------------------------
@@ -663,7 +547,8 @@ impl Insn {
     /// Encodes the instruction into its 32-bit ORBIS32 machine word.
     #[must_use]
     pub fn encode(&self) -> u32 {
-        encode::encode(self)
+        let row = self.opcode.row();
+        (row.major << 26) | row.fixed | row.facts.format.pack(&self.operands)
     }
 
     /// Decodes a 32-bit machine word.
@@ -671,9 +556,16 @@ impl Insn {
     /// # Errors
     ///
     /// Returns [`IsaError::UnknownEncoding`] for words outside the modelled
-    /// subset.
+    /// subset and [`IsaError::ImmediateOutOfRange`] for shift amounts of 32
+    /// or more.
     pub fn decode(word: u32) -> Result<Self, IsaError> {
-        encode::decode(word)
+        let row = table::row_of_word(word)?;
+        if row.facts.format == Format::Rfe && word & 0x03FF_FFFF != 0 {
+            return Err(IsaError::UnknownEncoding { word });
+        }
+        let reg = |lsb: u32| Reg::r((word >> lsb) & 0x1F);
+        let imm = row.facts.format.unpack_imm(word);
+        Self::checked(row.opcode, reg(21), reg(16), reg(11), imm)
     }
 }
 
@@ -683,312 +575,14 @@ impl fmt::Display for Insn {
     }
 }
 
-mod encode {
-    use super::*;
-
-    const OP_J: u32 = 0x00;
-    const OP_JAL: u32 = 0x01;
-    const OP_BNF: u32 = 0x03;
-    const OP_BF: u32 = 0x04;
-    const OP_NOP: u32 = 0x05;
-    const OP_MOVHI: u32 = 0x06;
-    const OP_RFE: u32 = 0x09;
-    const OP_JR: u32 = 0x11;
-    const OP_JALR: u32 = 0x12;
-    const OP_LWZ: u32 = 0x21;
-    const OP_LWS: u32 = 0x22;
-    const OP_LBZ: u32 = 0x23;
-    const OP_LBS: u32 = 0x24;
-    const OP_LHZ: u32 = 0x25;
-    const OP_LHS: u32 = 0x26;
-    const OP_ADDI: u32 = 0x27;
-    const OP_ADDIC: u32 = 0x28;
-    const OP_ANDI: u32 = 0x29;
-    const OP_ORI: u32 = 0x2A;
-    const OP_XORI: u32 = 0x2B;
-    const OP_MULI: u32 = 0x2C;
-    const OP_SHIFTI: u32 = 0x2E;
-    const OP_SFI: u32 = 0x2F;
-    const OP_SW: u32 = 0x35;
-    const OP_SB: u32 = 0x36;
-    const OP_SH: u32 = 0x37;
-    const OP_ALU: u32 = 0x38;
-    const OP_SF: u32 = 0x39;
-
-    fn rd(insn: &Insn) -> u32 {
-        insn.rd().map_or(0, |r| u32::from(r.index()))
-    }
-    fn ra(insn: &Insn) -> u32 {
-        insn.ra().map_or(0, |r| u32::from(r.index()))
-    }
-    fn rb(insn: &Insn) -> u32 {
-        insn.rb().map_or(0, |r| u32::from(r.index()))
-    }
-    fn imm16(insn: &Insn) -> u32 {
-        (insn.imm().unwrap_or(0) as u32) & 0xFFFF
-    }
-    fn imm26(insn: &Insn) -> u32 {
-        (insn.imm().unwrap_or(0) as u32) & 0x03FF_FFFF
-    }
-
-    fn alu(insn: &Insn, low: u32, sel98: u32, sel76: u32) -> u32 {
-        (OP_ALU << 26)
-            | (rd(insn) << 21)
-            | (ra(insn) << 16)
-            | (rb(insn) << 11)
-            | (sel98 << 8)
-            | (sel76 << 6)
-            | low
-    }
-
-    pub(super) fn encode(insn: &Insn) -> u32 {
-        match insn.opcode() {
-            Opcode::J => (OP_J << 26) | imm26(insn),
-            Opcode::Jal => (OP_JAL << 26) | imm26(insn),
-            Opcode::Bnf => (OP_BNF << 26) | imm26(insn),
-            Opcode::Bf => (OP_BF << 26) | imm26(insn),
-            Opcode::Nop => (OP_NOP << 26) | (1 << 24) | imm16(insn),
-            Opcode::Rfe => OP_RFE << 26,
-            Opcode::Movhi => (OP_MOVHI << 26) | (rd(insn) << 21) | imm16(insn),
-            Opcode::Jr => (OP_JR << 26) | (rb(insn) << 11),
-            Opcode::Jalr => (OP_JALR << 26) | (rb(insn) << 11),
-            Opcode::Lwz => (OP_LWZ << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lws => (OP_LWS << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lbz => (OP_LBZ << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lbs => (OP_LBS << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lhz => (OP_LHZ << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Lhs => (OP_LHS << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Addi => (OP_ADDI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Addic => (OP_ADDIC << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Andi => (OP_ANDI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Ori => (OP_ORI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Xori => (OP_XORI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Muli => (OP_MULI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | imm16(insn),
-            Opcode::Slli => {
-                (OP_SHIFTI << 26) | (rd(insn) << 21) | (ra(insn) << 16) | (imm16(insn) & 0x3F)
-            }
-            Opcode::Srli => {
-                (OP_SHIFTI << 26)
-                    | (rd(insn) << 21)
-                    | (ra(insn) << 16)
-                    | (0b01 << 6)
-                    | (imm16(insn) & 0x3F)
-            }
-            Opcode::Srai => {
-                (OP_SHIFTI << 26)
-                    | (rd(insn) << 21)
-                    | (ra(insn) << 16)
-                    | (0b10 << 6)
-                    | (imm16(insn) & 0x3F)
-            }
-            Opcode::Rori => {
-                (OP_SHIFTI << 26)
-                    | (rd(insn) << 21)
-                    | (ra(insn) << 16)
-                    | (0b11 << 6)
-                    | (imm16(insn) & 0x3F)
-            }
-            Opcode::Sfi(cond) => {
-                (OP_SFI << 26) | (cond.code() << 21) | (ra(insn) << 16) | imm16(insn)
-            }
-            Opcode::Sf(cond) => {
-                (OP_SF << 26) | (cond.code() << 21) | (ra(insn) << 16) | (rb(insn) << 11)
-            }
-            Opcode::Sw | Opcode::Sb | Opcode::Sh => {
-                let op = match insn.opcode() {
-                    Opcode::Sw => OP_SW,
-                    Opcode::Sb => OP_SB,
-                    _ => OP_SH,
-                };
-                let imm = imm16(insn);
-                (op << 26)
-                    | ((imm >> 11) << 21)
-                    | (ra(insn) << 16)
-                    | (rb(insn) << 11)
-                    | (imm & 0x7FF)
-            }
-            Opcode::Add => alu(insn, 0x0, 0, 0),
-            Opcode::Addc => alu(insn, 0x1, 0, 0),
-            Opcode::Sub => alu(insn, 0x2, 0, 0),
-            Opcode::And => alu(insn, 0x3, 0, 0),
-            Opcode::Or => alu(insn, 0x4, 0, 0),
-            Opcode::Xor => alu(insn, 0x5, 0, 0),
-            Opcode::Mul => alu(insn, 0x6, 0b11, 0),
-            Opcode::Mulu => alu(insn, 0xB, 0b11, 0),
-            Opcode::Sll => alu(insn, 0x8, 0, 0b00),
-            Opcode::Srl => alu(insn, 0x8, 0, 0b01),
-            Opcode::Sra => alu(insn, 0x8, 0, 0b10),
-            Opcode::Ror => alu(insn, 0x8, 0, 0b11),
-            Opcode::Cmov => alu(insn, 0xE, 0, 0),
-            Opcode::Extbs => alu(insn, 0xC, 0, 0b01),
-            Opcode::Exths => alu(insn, 0xC, 0, 0b00),
-        }
-    }
-
-    fn sext(value: u32, bits: u32) -> i32 {
-        let shift = 32 - bits;
-        ((value << shift) as i32) >> shift
-    }
-
-    fn reg_at(word: u32, lsb: u32) -> Reg {
-        Reg::r((word >> lsb) & 0x1F)
-    }
-
-    pub(super) fn decode(word: u32) -> Result<Insn, IsaError> {
-        let op = word >> 26;
-        let err = || IsaError::UnknownEncoding { word };
-        let rd = reg_at(word, 21);
-        let ra = reg_at(word, 16);
-        let rb = reg_at(word, 11);
-        let i16s = sext(word & 0xFFFF, 16);
-        let u16v = word & 0xFFFF;
-
-        let insn = match op {
-            OP_J => Insn::j(sext(word & 0x03FF_FFFF, 26))?,
-            OP_JAL => Insn::jal(sext(word & 0x03FF_FFFF, 26))?,
-            OP_BNF => Insn::bnf(sext(word & 0x03FF_FFFF, 26))?,
-            OP_BF => Insn::bf(sext(word & 0x03FF_FFFF, 26))?,
-            OP_NOP => Insn::nop(u16v as u16),
-            OP_RFE => {
-                if word & 0x03FF_FFFF != 0 {
-                    return Err(err());
-                }
-                Insn::rfe()
-            }
-            OP_MOVHI => Insn::movhi(rd, u16v)?,
-            OP_JR => Insn::jr(rb),
-            OP_JALR => Insn::jalr(rb),
-            OP_LWZ => Insn::lwz(rd, i16s, ra)?,
-            OP_LWS => Insn::load(Opcode::Lws, rd, i16s, ra)?,
-            OP_LBZ => Insn::lbz(rd, i16s, ra)?,
-            OP_LBS => Insn::lbs(rd, i16s, ra)?,
-            OP_LHZ => Insn::lhz(rd, i16s, ra)?,
-            OP_LHS => Insn::lhs(rd, i16s, ra)?,
-            OP_ADDI => Insn::addi(rd, ra, i16s)?,
-            OP_ADDIC => Insn::addic(rd, ra, i16s)?,
-            OP_ANDI => Insn::andi(rd, ra, u16v)?,
-            OP_ORI => Insn::ori(rd, ra, u16v)?,
-            OP_XORI => Insn::xori(rd, ra, i16s)?,
-            OP_MULI => Insn::muli(rd, ra, i16s)?,
-            OP_SHIFTI => {
-                let amount = word & 0x3F;
-                match (word >> 6) & 0x3 {
-                    0b00 => Insn::slli(rd, ra, amount)?,
-                    0b01 => Insn::srli(rd, ra, amount)?,
-                    0b10 => Insn::srai(rd, ra, amount)?,
-                    _ => Insn::rori(rd, ra, amount)?,
-                }
-            }
-            OP_SFI => {
-                let cond = SetFlagCond::from_code((word >> 21) & 0x1F).ok_or_else(err)?;
-                Insn::sfi(cond, ra, i16s)?
-            }
-            OP_SF => {
-                let cond = SetFlagCond::from_code((word >> 21) & 0x1F).ok_or_else(err)?;
-                Insn::sf(cond, ra, rb)
-            }
-            OP_SW | OP_SB | OP_SH => {
-                let imm = (((word >> 21) & 0x1F) << 11) | (word & 0x7FF);
-                let offset = sext(imm, 16);
-                match op {
-                    OP_SW => Insn::sw(offset, ra, rb)?,
-                    OP_SB => Insn::sb(offset, ra, rb)?,
-                    _ => Insn::sh(offset, ra, rb)?,
-                }
-            }
-            OP_ALU => {
-                let low = word & 0xF;
-                let sel98 = (word >> 8) & 0x3;
-                let sel76 = (word >> 6) & 0x3;
-                match (low, sel98) {
-                    (0x0, 0) => Insn::add(rd, ra, rb),
-                    (0x1, 0) => Insn::addc(rd, ra, rb),
-                    (0x2, 0) => Insn::sub(rd, ra, rb),
-                    (0x3, 0) => Insn::and(rd, ra, rb),
-                    (0x4, 0) => Insn::or(rd, ra, rb),
-                    (0x5, 0) => Insn::xor(rd, ra, rb),
-                    (0x6, 0b11) => Insn::mul(rd, ra, rb),
-                    (0xB, 0b11) => Insn::mulu(rd, ra, rb),
-                    (0x8, 0) => match sel76 {
-                        0b00 => Insn::sll(rd, ra, rb),
-                        0b01 => Insn::srl(rd, ra, rb),
-                        0b10 => Insn::sra(rd, ra, rb),
-                        _ => Insn::ror(rd, ra, rb),
-                    },
-                    (0xE, 0) => Insn::cmov(rd, ra, rb),
-                    (0xC, 0) => match sel76 {
-                        0b01 => Insn::extbs(rd, ra),
-                        0b00 => Insn::exths(rd, ra),
-                        _ => return Err(err()),
-                    },
-                    _ => return Err(err()),
-                }
-            }
-            _ => return Err(err()),
-        };
-        Ok(insn)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::Reg;
-
-    fn sample_insns() -> Vec<Insn> {
-        vec![
-            Insn::add(Reg::r(3), Reg::r(4), Reg::r(5)),
-            Insn::addc(Reg::r(3), Reg::r(4), Reg::r(5)),
-            Insn::sub(Reg::r(6), Reg::r(7), Reg::r(8)),
-            Insn::and(Reg::r(1), Reg::r(2), Reg::r(3)),
-            Insn::or(Reg::r(1), Reg::r(2), Reg::r(3)),
-            Insn::xor(Reg::r(1), Reg::r(2), Reg::r(3)),
-            Insn::mul(Reg::r(11), Reg::r(12), Reg::r(13)),
-            Insn::mulu(Reg::r(11), Reg::r(12), Reg::r(13)),
-            Insn::sll(Reg::r(4), Reg::r(5), Reg::r(6)),
-            Insn::srl(Reg::r(4), Reg::r(5), Reg::r(6)),
-            Insn::sra(Reg::r(4), Reg::r(5), Reg::r(6)),
-            Insn::ror(Reg::r(4), Reg::r(5), Reg::r(6)),
-            Insn::cmov(Reg::r(4), Reg::r(5), Reg::r(6)),
-            Insn::extbs(Reg::r(4), Reg::r(5)),
-            Insn::exths(Reg::r(4), Reg::r(5)),
-            Insn::addi(Reg::r(3), Reg::r(0), -42).unwrap(),
-            Insn::addic(Reg::r(3), Reg::r(0), 17).unwrap(),
-            Insn::andi(Reg::r(3), Reg::r(4), 0xFFFF).unwrap(),
-            Insn::ori(Reg::r(3), Reg::r(4), 0x1234).unwrap(),
-            Insn::xori(Reg::r(3), Reg::r(4), -1).unwrap(),
-            Insn::muli(Reg::r(3), Reg::r(4), 100).unwrap(),
-            Insn::slli(Reg::r(3), Reg::r(4), 31).unwrap(),
-            Insn::srli(Reg::r(3), Reg::r(4), 1).unwrap(),
-            Insn::srai(Reg::r(3), Reg::r(4), 16).unwrap(),
-            Insn::rori(Reg::r(3), Reg::r(4), 7).unwrap(),
-            Insn::movhi(Reg::r(5), 0xABCD).unwrap(),
-            Insn::sf(SetFlagCond::Eq, Reg::r(3), Reg::r(4)),
-            Insn::sf(SetFlagCond::Les, Reg::r(3), Reg::r(4)),
-            Insn::sfi(SetFlagCond::Gtu, Reg::r(3), 99).unwrap(),
-            Insn::sfi(SetFlagCond::Lts, Reg::r(3), -5).unwrap(),
-            Insn::lwz(Reg::r(3), -8, Reg::r(1)).unwrap(),
-            Insn::lhz(Reg::r(3), 2, Reg::r(1)).unwrap(),
-            Insn::lhs(Reg::r(3), 6, Reg::r(1)).unwrap(),
-            Insn::lbz(Reg::r(3), 1, Reg::r(1)).unwrap(),
-            Insn::lbs(Reg::r(3), 3, Reg::r(1)).unwrap(),
-            Insn::sw(-4, Reg::r(1), Reg::r(3)).unwrap(),
-            Insn::sh(2, Reg::r(1), Reg::r(3)).unwrap(),
-            Insn::sb(1025, Reg::r(1), Reg::r(3)).unwrap(),
-            Insn::j(-100).unwrap(),
-            Insn::jal(12345).unwrap(),
-            Insn::bf(-3).unwrap(),
-            Insn::bnf(7).unwrap(),
-            Insn::jr(Reg::r(9)),
-            Insn::jalr(Reg::r(11)),
-            Insn::rfe(),
-            Insn::nop(0x42),
-        ]
-    }
+    use crate::table::tests::every_row_instance;
 
     #[test]
     fn encode_decode_roundtrip_for_all_formats() {
-        for insn in sample_insns() {
+        for insn in every_row_instance() {
             let word = insn.encode();
             let decoded = Insn::decode(word).unwrap_or_else(|e| {
                 panic!("failed to decode {insn} ({word:#010x}): {e}");
@@ -999,7 +593,7 @@ mod tests {
 
     #[test]
     fn distinct_instructions_have_distinct_encodings() {
-        let insns = sample_insns();
+        let insns = every_row_instance();
         let words: Vec<u32> = insns.iter().map(Insn::encode).collect();
         for (i, wi) in words.iter().enumerate() {
             for (j, wj) in words.iter().enumerate() {
@@ -1040,6 +634,15 @@ mod tests {
         assert!(Insn::slli(Reg::r(1), Reg::r(2), 32).is_err());
         assert!(Insn::j(1 << 25).is_err());
         assert!(Insn::j((1 << 25) - 1).is_ok());
+        // Range errors name the instruction, not its format.
+        let mnemonic = |result: Result<Insn, IsaError>| match result {
+            Err(IsaError::ImmediateOutOfRange { mnemonic, .. }) => mnemonic,
+            other => panic!("expected a range error, got {other:?}"),
+        };
+        assert_eq!(mnemonic(Insn::lhs(Reg::r(3), 40000, Reg::r(1))), "l.lhs");
+        assert_eq!(mnemonic(Insn::sb(-40000, Reg::r(1), Reg::r(3))), "l.sb");
+        let sfi = Insn::sfi(SetFlagCond::Gts, Reg::r(3), 1 << 15);
+        assert_eq!(mnemonic(sfi), "l.sfgtsi");
     }
 
     #[test]
@@ -1061,6 +664,8 @@ mod tests {
         assert!(Insn::decode(0xFFFF_FFFF).is_err());
         // Major opcode 0x3F is not part of the subset.
         assert!(Insn::decode(0x3F << 26).is_err());
+        // `l.rfe` has no operands, so any operand bit makes the word invalid.
+        assert!(Insn::decode(Insn::rfe().encode() | 1).is_err());
     }
 
     #[test]

@@ -8,6 +8,13 @@
 //! set-flag comparisons, conditional branches, jumps, loads/stores and
 //! `l.nop`/`l.movhi`.
 //!
+//! Every instruction fact lives in one place: a private ORBIS32 table with
+//! one row per opcode and set-flag condition (mnemonic, primary opcode and
+//! fixed sub-fields, operand format, [`TimingClass`], memory width). The
+//! [`Opcode`] accessors, [`Insn::encode`] / [`Insn::decode`], the assembler,
+//! the disassembler and the constructors' immediate range checks are all
+//! derived from it.
+//!
 //! The crate provides:
 //!
 //! * [`Opcode`] / [`Insn`] — decoded instruction representation with
@@ -52,10 +59,11 @@ mod insn;
 mod opcode;
 mod program;
 mod reg;
+mod table;
 
 pub use error::IsaError;
 pub use insn::{Insn, Operands};
-pub use opcode::{ExecUnit, Opcode, SetFlagCond, TimingClass};
+pub use opcode::{Opcode, SetFlagCond, TimingClass};
 pub use program::{Program, ProgramBuilder};
 pub use reg::Reg;
 

@@ -212,27 +212,13 @@ impl MicroOp {
         let opcode = insn.opcode();
         let (ra, rb) = insn.source_regs();
         let imm = insn.imm();
-        let op_b_imm = match opcode {
-            Opcode::Andi | Opcode::Ori => Some((imm.unwrap_or(0) as u32) & 0xFFFF),
-            Opcode::Addi
-            | Opcode::Addic
-            | Opcode::Xori
-            | Opcode::Muli
-            | Opcode::Sfi(_)
-            | Opcode::Lwz
-            | Opcode::Lws
-            | Opcode::Lhz
-            | Opcode::Lhs
-            | Opcode::Lbz
-            | Opcode::Lbs
-            | Opcode::Sw
-            | Opcode::Sh
-            | Opcode::Sb => Some(imm.unwrap_or(0) as u32),
-            Opcode::Slli | Opcode::Srli | Opcode::Srai | Opcode::Rori => {
-                Some((imm.unwrap_or(0) as u32) & 0x1F)
-            }
-            Opcode::Movhi => Some((imm.unwrap_or(0) as u32) & 0xFFFF),
-            _ => None,
+        // The immediate is the second ALU operand unless it is a branch
+        // offset or `l.nop`'s tag; unsigned fields zero-extend.
+        let op_b_imm = match opcode.imm_field() {
+            _ if opcode.is_control_flow() || opcode == Opcode::Nop => None,
+            Some((_, true)) => Some(imm.unwrap_or(0) as u32),
+            Some((bits, false)) => Some((imm.unwrap_or(0) as u32) & ((1 << bits) - 1)),
+            None => None,
         };
         let alu = match opcode {
             Opcode::Add | Opcode::Addi => AluKind::Add,
@@ -300,7 +286,7 @@ impl MicroOp {
             mem,
             mem_width: opcode.mem_width().unwrap_or(4),
             adder,
-            is_mul: matches!(opcode, Opcode::Mul | Opcode::Mulu | Opcode::Muli),
+            is_mul: opcode.timing_class() == TimingClass::Mul,
             is_shift: opcode.timing_class() == TimingClass::Shift,
         }
     }
@@ -641,16 +627,8 @@ mod lowering_proptests {
             prop_assert_eq!(op.is_shift, insn.timing_class() == TimingClass::Shift);
 
             // `is_plain` is exactly "cannot redirect fetch or halt".
-            let is_control = matches!(
-                opcode,
-                Opcode::J
-                    | Opcode::Jal
-                    | Opcode::Jr
-                    | Opcode::Jalr
-                    | Opcode::Bf
-                    | Opcode::Bnf
-                    | Opcode::Rfe
-            ) || (opcode == Opcode::Nop && insn.imm() == Some(i32::from(NOP_EXIT)));
+            let is_control = opcode.is_control_flow()
+                || (opcode == Opcode::Nop && insn.imm() == Some(i32::from(NOP_EXIT)));
             prop_assert_eq!(op.is_plain(), !is_control);
 
             // Operand selection: the pre-resolved immediate (when present)

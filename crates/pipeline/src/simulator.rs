@@ -1510,16 +1510,8 @@ fn slot_plain(slot: &Slot<Fetched>) -> bool {
         Slot::Bubble(_) => true,
         Slot::Insn(f) => {
             let opcode = f.insn.opcode();
-            !(matches!(
-                opcode,
-                Opcode::J
-                    | Opcode::Jal
-                    | Opcode::Jr
-                    | Opcode::Jalr
-                    | Opcode::Bf
-                    | Opcode::Bnf
-                    | Opcode::Rfe
-            ) || (opcode == Opcode::Nop && f.insn.imm() == Some(i32::from(NOP_EXIT))))
+            !(opcode.is_control_flow()
+                || (opcode == Opcode::Nop && f.insn.imm() == Some(i32::from(NOP_EXIT))))
         }
     }
 }
