@@ -142,17 +142,15 @@ fn bench_policy_bank_kernel(c: &mut Criterion) {
                 bank_lut.reset();
                 bank_exec.reset();
                 adaptive.reset(None);
-                digest.for_each_run(|start, len, dc| {
-                    bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
-                    bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
+                digest.for_each_cycle(|cycle, dc| {
+                    bank_lut.begin_block(lut_policy.digest_period_ps(cycle, dc));
+                    bank_exec.begin_block(exec_policy.digest_period_ps(cycle, dc));
                     bank_static.begin_block_per_corner(&static_requests);
-                    for cycle in start..start + u64::from(len) {
-                        let lanes = &*evaluator.cycle_lanes(cycle, dc);
-                        bank_static.observe_actuals(lanes.max_lanes());
-                        bank_lut.observe_actuals(lanes.max_lanes());
-                        bank_exec.observe_actuals(lanes.max_lanes());
-                        adaptive.observe_cycle_lanes(cycle, dc, lanes);
-                    }
+                    let lanes = &*evaluator.cycle_lanes(cycle, dc);
+                    bank_static.observe_actuals(lanes.max_lanes());
+                    bank_lut.observe_actuals(lanes.max_lanes());
+                    bank_exec.observe_actuals(lanes.max_lanes());
+                    adaptive.observe_cycle_lanes(cycle, dc, lanes);
                 });
                 bank_static.finish(&summary);
                 bank_lut.finish(&summary);

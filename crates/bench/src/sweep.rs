@@ -17,10 +17,9 @@
 //!    `(program seed, generator-config hash, simulator version)`), so
 //!    repeat sweeps skip this phase entirely.
 //! 2. **Replay** (`O(N)` corner-batched digest walks): the sweep is
-//!    sharded into `N` per-seed jobs. Each job walks its digest **once**,
-//!    cycle by cycle — one set of corner-invariant policy decisions and
-//!    one batched dither kernel per cycle (digests have 1.000 RLE runs per
-//!    cycle, so nothing is hoisted across cycles) — and evaluates every
+//!    sharded into `N` per-seed jobs. Each job walks its digest's pool-id
+//!    stream **once**, cycle by cycle — one set of corner-invariant policy
+//!    decisions and one batched dither kernel per cycle — and evaluates every
 //!    cycle against **all** `M` corners at once through the vectorized
 //!    [`CornerBank`] lanes. The evaluated cycle stays in structure-of-arrays
 //!    form end to end: the shared delay/max lanes feed three lane-packed
@@ -2092,6 +2091,62 @@ mod tests {
                 .expect("sweep runs");
         assert_eq!(rewarm_timing.digest_cache_hits, config.seeds);
 
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn v3_digest_cache_entries_are_quarantined_and_resimulated() {
+        let dir = std::env::temp_dir().join(format!("idca-cache-v3-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).expect("cache dir is creatable");
+        let config = small_config();
+        let sweep = || {
+            pvt_sweep_seed_range_timed_with_cache(&config, 0..config.seeds, Some(&dir))
+                .expect("sweep runs")
+        };
+        let (cold, _) = sweep();
+        // Rewrite one entry's payload in the v3 layout (`runs_len` in the
+        // body header, one `(id, 1)` run pair per cycle, a valid checksum).
+        // The entry header, SIMULATOR_VERSION included, is unchanged.
+        let (seed0, hash) = (nth_seed(config.master_seed, 0), config.gen.content_hash());
+        let path = cache_entry_path(&dir, seed0, hash, 0);
+        let entry = std::fs::read(&path).expect("entry exists");
+        let v4 = &entry[CACHE_HEADER_BYTES..];
+        let digest = TimingDigest::from_bytes(v4).expect("v4 payload");
+        let ids_at = 44 + 107 * digest.unique_cycles();
+        let ids_end = ids_at + 4 * digest.cycles() as usize;
+        let mut body = v4[20..40].to_vec();
+        body.extend_from_slice(&(digest.cycles() as u32).to_le_bytes());
+        body.extend_from_slice(&v4[40..ids_at]);
+        for id in v4[ids_at..ids_end].chunks_exact(4) {
+            body.extend_from_slice(&[id, &1u32.to_le_bytes()].concat());
+        }
+        body.extend_from_slice(&v4[ids_end..]);
+        let fnv1a = |h: u64, &b: &u8| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        let checksum = body.iter().fold(0xCBF2_9CE4_8422_2325, fnv1a);
+        let mut old = entry[..CACHE_HEADER_BYTES + 8].to_vec();
+        old.extend(3u32.to_le_bytes().into_iter().chain(checksum.to_le_bytes()));
+        old.extend(body);
+        std::fs::write(&path, &old).expect("entry is writable");
+        let reason = decode_cache_entry(&old, seed0, hash, 0).expect_err("v3 is rejected");
+        assert!(
+            reason.contains("unsupported timing-digest format version 3"),
+            "{reason}"
+        );
+
+        // Quarantined and re-simulated: the cold report, byte for byte.
+        let (migrated, timing) = sweep();
+        let counts = (timing.simulated_programs, timing.digest_cache_hits);
+        assert_eq!(counts, (1, config.seeds - 1));
+        assert_eq!(migrated.render(), cold.render());
+        let quarantined = dir
+            .join("quarantine")
+            .join(path.file_name().expect("file name"));
+        assert_eq!(std::fs::read(&quarantined).expect("quarantined"), old);
+        // The rewritten v4 entry hits on the next run.
+        let (_, rewarm) = sweep();
+        let counts = (rewarm.simulated_programs, rewarm.digest_cache_hits);
+        assert_eq!(counts, (0, config.seeds));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

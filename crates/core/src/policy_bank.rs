@@ -13,11 +13,12 @@
 //! depends only on the digest classes (or on nothing at all), never on the
 //! cycle index, and — because every corner deploys the same guarded LUT —
 //! not on the corner either. [`PolicyBank::begin_block`] takes that
-//! request once per digest cycle (digests measure one RLE run per cycle,
-//! so a "block" is a cycle in practice) and derives the realized period,
-//! the violation threshold and the fault detection limit only when the
-//! request changes; [`PolicyBank::observe_actuals`] then reduces the cycle
-//! to a compare-and-count over the lanes.
+//! request once per digest cycle and derives the realized period, the
+//! violation threshold and the fault detection limit only when the request
+//! differs from the previous cycle's (a *block* is a stretch of
+//! consecutive cycles repeating one request);
+//! [`PolicyBank::observe_actuals`] then reduces the cycle to a
+//! compare-and-count over the lanes.
 //!
 //! A cycle a delay bound has proved violation-free on every corner moves
 //! nothing corner-specific but the realized-time sums, so
@@ -57,11 +58,10 @@ enum Block {
 ///
 /// # Protocol
 ///
-/// For each digest cycle (or run of identical cycles): one call to
-/// [`PolicyBank::begin_block`] (corner-invariant request) or
-/// [`PolicyBank::begin_block_per_corner`] (per-corner requests, e.g. the
-/// per-corner static period), then, per cycle, either one
-/// [`PolicyBank::observe_actuals`] with the lane-packed actual delays or —
+/// For each digest cycle: one call to [`PolicyBank::begin_block`]
+/// (corner-invariant request) or [`PolicyBank::begin_block_per_corner`]
+/// (per-corner requests, e.g. the per-corner static period), then either
+/// one [`PolicyBank::observe_actuals`] with the lane-packed actual delays or —
 /// for a cycle a delay bound proved violation-free on every corner — one
 /// [`PolicyBank::observe_proven`]. After the walk, [`PolicyBank::finish`]
 /// with the run summary and [`PolicyBank::into_outcomes`] to take the
@@ -221,12 +221,12 @@ impl<'a> PolicyBank<'a> {
         self.outcomes = None;
     }
 
-    /// Starts a cycle (or a run of identical cycles) whose request is
-    /// corner-invariant (the table-driven LUT policies decide from digest
-    /// classes alone): unless the request repeats the previous one,
-    /// realizes it and folds the min/max periods. O(1) while the bank has
-    /// seen no per-corner block; the hoisted threshold/detect/penalty lanes
-    /// are filled by the first exact cycle that needs them.
+    /// Starts a cycle whose request is corner-invariant (the table-driven
+    /// LUT policies decide from digest classes alone): unless the request
+    /// repeats the previous one, realizes it and folds the min/max periods.
+    /// O(1) while the bank has seen no per-corner block; the hoisted
+    /// threshold/detect/penalty lanes are filled by the first exact cycle
+    /// that needs them.
     #[inline]
     pub fn begin_block(&mut self, requested: Ps) {
         // Min/max folding is idempotent, so folding only when the realized
@@ -540,7 +540,7 @@ mod tests {
     use super::*;
     use crate::policy::StaticClock;
     use crate::PolicyObserver;
-    use idca_pipeline::{SimConfig, Simulator, TimingDigest};
+    use idca_pipeline::{SimConfig, Simulator, Stage, TimingDigest};
     use idca_timing::{CornerBank, FaultSpec, ProfileKind, TimingModel, VariationModel};
 
     fn digest() -> TimingDigest {
@@ -590,46 +590,44 @@ mod tests {
         if let Some(plan) = faults {
             pbank = pbank.with_faults(plan);
         }
-        let mut actuals = vec![0.0; bank.padded_lanes()];
-        let mut evaluator = bank.evaluator();
-        let mut scratch = Vec::new();
-        digest.for_each_run(|start, len, dc| {
-            pbank.begin_block_per_corner(&requests);
-            for cycle in start..start + u64::from(len) {
-                let timings = evaluator.cycle_timings(cycle, dc);
-                let timings = match &faults {
-                    Some(plan) => {
-                        scratch.clear();
-                        scratch.extend(timings.iter().map(|t| plan.faulted(cycle, t)));
-                        &scratch[..]
-                    }
-                    None => timings,
-                };
-                for (lane, slot) in actuals.iter_mut().enumerate() {
-                    *slot = timings.get(lane).map_or(0.0, |t| t.max_delay_ps);
+        let policies: Vec<StaticClock> = requests.iter().map(|&r| StaticClock::new(r)).collect();
+        let mut scalar: Vec<PolicyObserver<'_>> = (models.iter().zip(&policies))
+            .map(|(model, policy)| {
+                let observer = PolicyObserver::new(model, policy, &generator);
+                match &faults {
+                    Some(plan) => observer.with_faults(plan),
+                    None => observer,
                 }
-                pbank.observe_actuals(&actuals);
+            })
+            .collect();
+        let mut evaluator = bank.evaluator();
+        digest.for_each_cycle(|cycle, dc| {
+            pbank.begin_block_per_corner(&requests);
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            if let Some(plan) = &faults {
+                lanes.apply_fault(plan, cycle);
+            }
+            pbank.observe_actuals(lanes.max_lanes());
+            // The scalar observers take the scalar model's (faulted) timing;
+            // the lanes fed to the bank equal it bit for bit, stage by stage
+            // and in the max.
+            for (corner, (model, observer)) in models.iter().zip(&mut scalar).enumerate() {
+                let mut timing = model.digest_cycle_timing(cycle, dc);
+                if let Some(plan) = &faults {
+                    timing = plan.faulted(cycle, &timing);
+                }
+                let stages = Stage::ALL.map(|s| lanes.stage_lanes(s)[corner].to_bits());
+                assert_eq!(stages, timing.stage_delay_ps.map(f64::to_bits));
+                let max = lanes.max_lanes()[corner].to_bits();
+                assert_eq!(max, timing.max_delay_ps.to_bits());
+                observer.observe_timing_prepared_phased(requests[corner], &timing, false);
             }
         });
         pbank.finish(&digest.summary());
         let banked = pbank.into_outcomes();
-
-        for (corner, (model, expected)) in models.iter().zip(&banked).enumerate() {
-            let policy = StaticClock::new(requests[corner]);
-            let mut observer = PolicyObserver::new(model, &policy, &generator);
-            if let Some(plan) = &faults {
-                observer = observer.with_faults(plan);
-            }
-            digest.for_each_cycle(|cycle, dc| {
-                let timing = model.digest_cycle_timing(cycle, dc);
-                let timing = match &faults {
-                    Some(plan) => plan.faulted(cycle, &timing),
-                    None => timing,
-                };
-                observer.observe_timing_prepared_phased(requests[corner], &timing, false);
-            });
+        for (corner, (mut observer, banked)) in scalar.into_iter().zip(banked).enumerate() {
             observer.finish(&digest.summary());
-            assert_eq!(*expected, observer.into_outcome(), "corner {corner}");
+            assert_eq!(banked, observer.into_outcome(), "corner {corner}");
         }
     }
 
@@ -721,9 +719,9 @@ mod tests {
                     }
                     for (lane, observer) in scalar.iter_mut().enumerate() {
                         let timing = idca_timing::CycleTiming {
-                            stage_delay_ps: [actuals[lane]; idca_pipeline::Stage::COUNT],
+                            stage_delay_ps: [actuals[lane]; Stage::COUNT],
                             max_delay_ps: actuals[lane],
-                            limiting_stage: idca_pipeline::Stage::Execute,
+                            limiting_stage: Stage::Execute,
                         };
                         observer.observe_timing_prepared_phased(requests[lane], &timing, entry);
                     }
@@ -748,12 +746,10 @@ mod tests {
         let digest = digest();
         let mut bank = PolicyBank::new("static", 3, &generator);
         let run = |bank: &mut PolicyBank<'_>| {
-            digest.for_each_run(|_start, len, _dc| {
+            let actuals = vec![1500.0; bank.padded_lanes()];
+            digest.for_each_cycle(|_, _| {
                 bank.begin_block(1800.0);
-                let actuals = vec![1500.0; bank.padded_lanes()];
-                for _ in 0..len {
-                    bank.observe_actuals(&actuals);
-                }
+                bank.observe_actuals(&actuals);
             });
             bank.finish(&digest.summary());
             bank.take_outcomes()

@@ -474,23 +474,19 @@ pub fn replay_digest_banked(
     let mut pbank = crate::PolicyBank::new(policy.name(), models.len(), generator);
     let mut evaluator = bank.evaluator();
     let mut activity = ActivityObserver::new();
-    digest.for_each_run(|start, len, dc| {
-        for cycle in start..start + u64::from(len) {
-            // The policy sees only the digest, never the model, so its
-            // request is corner-invariant: decide once, broadcast to every
-            // lane. It may still depend on the cycle index (the genie
-            // oracle dithers), so it is re-derived per cycle; the bank
-            // skips its realize-and-derive refill whenever the request
-            // repeats.
-            pbank.begin_block(policy.digest_period_ps(cycle, dc));
-            // The evaluated cycle stays in structure-of-arrays form: the
-            // bank folds the contiguous max-delay lanes directly.
-            pbank.observe_actuals(evaluator.cycle_lanes(cycle, dc).max_lanes());
-            // The activity fold reads only the digest cycle —
-            // corner-invariant — so one shared fold replaces the
-            // per-corner copies.
-            activity.observe_digest(dc);
-        }
+    digest.for_each_cycle(|cycle, dc| {
+        // The policy sees only the digest, never the model, so its request
+        // is corner-invariant: decide once, broadcast to every lane. It may
+        // still depend on the cycle index (the genie oracle dithers), so it
+        // is re-derived per cycle; the bank skips its realize-and-derive
+        // refill whenever the request repeats.
+        pbank.begin_block(policy.digest_period_ps(cycle, dc));
+        // The evaluated cycle stays in structure-of-arrays form: the bank
+        // folds the contiguous max-delay lanes directly.
+        pbank.observe_actuals(evaluator.cycle_lanes(cycle, dc).max_lanes());
+        // The activity fold reads only the digest cycle — corner-invariant
+        // — so one shared fold replaces the per-corner copies.
+        activity.observe_digest(dc);
     });
     let summary = digest.summary();
     pbank.finish(&summary);

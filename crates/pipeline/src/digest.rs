@@ -15,9 +15,12 @@
 //!
 //! [`DigestCycle`] records exactly that, [`DigestObserver`] captures it in
 //! the same streaming pass as every other [`CycleObserver`], and
-//! [`TimingDigest`] stores the cycle stream deduplicated (a pool of unique
-//! cycles) and run-length encoded, so loop-heavy kernels with value-stable
-//! activity compress toward their basic-block count. The timing and core
+//! [`TimingDigest`] stores the cycle stream deduplicated: a pool of unique
+//! cycles plus one pool id per simulated cycle, so loop-heavy kernels with
+//! value-stable activity compress toward their unique-cycle count. (The
+//! fetch address is part of every cycle and changes from one cycle to the
+//! next, so consecutive cycles are never identical and a run-length layer
+//! over the id stream would never fire.) The timing and core
 //! crates provide `replay_digest` entry points that fold a digest against
 //! any [`idca_timing`-style] model and reproduce the direct simulation's
 //! results **bit-identically** — turning an `N×M` sweep into `N` simulation
@@ -37,7 +40,7 @@
 //! entries/returns, timer fires and MMIO touches — from which replay
 //! reconstructs per-cycle interrupt phases and peripheral statistics
 //! without re-simulating. Interrupt-free digests have an empty event
-//! stream, and their cycle/run tables are unchanged from v1.
+//! stream.
 //!
 //! # Excitation coefficients
 //!
@@ -48,7 +51,7 @@
 //! instead of a value: the replay recomputes `base + dither_gain × dither`
 //! with the exact arithmetic of the direct path, which is what makes the
 //! replay bit-identical while keeping [`DigestCycle`] independent of the
-//! cycle index (a prerequisite for run-length encoding).
+//! cycle index (a prerequisite for pooling cycles across the stream).
 
 use crate::{
     CycleObserver, CycleRecord, CycleRecordFlags, DigestEvent, Occupant, RunSummary, Stage,
@@ -378,8 +381,8 @@ impl DigestCycle {
 /// Bit-exact digest-cycle equality: the dedup criterion of the observer's
 /// pool. f64 coefficients are compared by bit pattern (never by value), so
 /// dedup can never merge cycles whose serialized bytes would differ. The
-/// fetch address leads because consecutive cycles almost always differ in
-/// it, making the miss path a one-word compare.
+/// fetch address leads because it is the field most likely to differ,
+/// making the miss path a one-word compare.
 fn same_cycle(a: &DigestCycle, b: &DigestCycle) -> bool {
     a.fetch_address == b.fetch_address
         && a.flags == b.flags
@@ -410,18 +413,9 @@ fn cycle_hash(dc: &DigestCycle) -> u64 {
     h.0
 }
 
-/// One run of identical consecutive digest cycles.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct DigestRun {
-    /// Index into the unique-cycle pool.
-    cycle_id: u32,
-    /// Number of consecutive occurrences.
-    len: u32,
-}
-
 /// A complete, replayable timing digest of one program execution: the
-/// deduplicated pool of unique [`DigestCycle`]s plus the run-length-encoded
-/// cycle stream and the run totals.
+/// deduplicated pool of unique [`DigestCycle`]s, the cycle stream as one
+/// pool id per simulated cycle, and the run totals.
 ///
 /// Produced by [`DigestObserver`] (streaming) or
 /// [`TimingDigest::from_trace`] (from a materialized trace). Consumed by the
@@ -429,10 +423,10 @@ struct DigestRun {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct TimingDigest {
     pool: Vec<DigestCycle>,
-    runs: Vec<DigestRun>,
+    /// Pool id of every simulated cycle, in cycle order.
+    ids: Vec<u32>,
     /// Asynchronous events in cycle order (empty for interrupt-free runs).
     events: Vec<DigestEvent>,
-    cycles: u64,
     retired: u64,
 }
 
@@ -455,7 +449,7 @@ impl TimingDigest {
     /// Number of simulated cycles the digest represents.
     #[must_use]
     pub fn cycles(&self) -> u64 {
-        self.cycles
+        self.ids.len() as u64
     }
 
     /// Architecturally retired instructions of the digested run.
@@ -468,7 +462,7 @@ impl TimingDigest {
     #[must_use]
     pub fn summary(&self) -> RunSummary {
         RunSummary {
-            cycles: self.cycles,
+            cycles: self.cycles(),
             retired: self.retired,
         }
     }
@@ -479,10 +473,11 @@ impl TimingDigest {
         self.pool.len()
     }
 
-    /// Number of RLE runs in the encoded stream.
+    /// Number of blocks [`TimingDigest::for_each_run`] yields: one per
+    /// simulated cycle. Kept for callers of the former run-length layer.
     #[must_use]
     pub fn run_count(&self) -> usize {
-        self.runs.len()
+        self.ids.len()
     }
 
     /// The asynchronous-event stream (interrupt entries/returns, timer
@@ -492,19 +487,12 @@ impl TimingDigest {
         &self.events
     }
 
-    /// Expands the encoded stream, invoking `f` once per simulated cycle in
+    /// Walks the cycle stream, invoking `f` once per simulated cycle in
     /// execution order with the cycle index and the digest record. This is
     /// the replay driver: cycle indices are reconstructed from stream
     /// position, exactly as the simulator numbered them.
     pub fn for_each_cycle<F: FnMut(u64, &DigestCycle)>(&self, mut f: F) {
-        let mut cycle: u64 = 0;
-        for run in &self.runs {
-            let dc = &self.pool[run.cycle_id as usize];
-            for _ in 0..run.len {
-                f(cycle, dc);
-                cycle += 1;
-            }
-        }
+        self.for_each_cycle_id(|cycle, _, dc| f(cycle, dc));
     }
 
     /// The deduplicated pool of unique digest cycles, indexed by the pool
@@ -519,28 +507,17 @@ impl TimingDigest {
     /// per-entry precomputation — e.g. a delay bound derived once per
     /// unique cycle — without hashing the record.
     pub fn for_each_cycle_id<F: FnMut(u64, u32, &DigestCycle)>(&self, mut f: F) {
-        let mut cycle: u64 = 0;
-        for run in &self.runs {
-            let dc = &self.pool[run.cycle_id as usize];
-            for _ in 0..run.len {
-                f(cycle, run.cycle_id, dc);
-                cycle += 1;
-            }
+        for (cycle, &id) in (0u64..).zip(&self.ids) {
+            f(cycle, id, &self.pool[id as usize]);
         }
     }
 
-    /// Walks the encoded stream one *run-block* at a time, invoking `f` with
-    /// the first cycle index of the block, the block length and the shared
-    /// digest record. This is the batched replay driver: a consumer decodes
-    /// the pooled cycle once per block instead of once per cycle (the
-    /// corner-batched sweep walks run-blocks and only recomputes the
-    /// cycle-indexed dither inside them).
+    /// The former run-block walk, kept for callers written against the
+    /// run-length layer: invokes `f` once per simulated cycle with the
+    /// cycle index, a block length of 1 and the digest record — the same
+    /// cycles, in the same order, as [`TimingDigest::for_each_cycle`].
     pub fn for_each_run<F: FnMut(u64, u32, &DigestCycle)>(&self, mut f: F) {
-        let mut cycle: u64 = 0;
-        for run in &self.runs {
-            f(cycle, run.len, &self.pool[run.cycle_id as usize]);
-            cycle += u64::from(run.len);
-        }
+        self.for_each_cycle(|cycle, dc| f(cycle, 1, dc));
     }
 
     /// Returns the digest of only the first `cycles` simulated cycles —
@@ -552,31 +529,23 @@ impl TimingDigest {
     pub fn truncated(&self, cycles: u64) -> TimingDigest {
         let mut out = TimingDigest::default();
         let mut remap: Vec<Option<u32>> = vec![None; self.pool.len()];
-        let mut remaining = cycles;
-        for run in &self.runs {
-            if remaining == 0 {
-                break;
-            }
-            let take = u64::from(run.len).min(remaining) as u32;
-            remaining -= u64::from(take);
-            let slot = &mut remap[run.cycle_id as usize];
-            let id = *slot.get_or_insert_with(|| {
-                out.pool.push(self.pool[run.cycle_id as usize]);
+        let keep = usize::try_from(cycles)
+            .unwrap_or(usize::MAX)
+            .min(self.ids.len());
+        for &old in &self.ids[..keep] {
+            let id = *remap[old as usize].get_or_insert_with(|| {
+                out.pool.push(self.pool[old as usize]);
                 (out.pool.len() - 1) as u32
             });
-            out.runs.push(DigestRun {
-                cycle_id: id,
-                len: take,
-            });
-            out.cycles += u64::from(take);
+            out.ids.push(id);
         }
         out.events = self
             .events
             .iter()
             .copied()
-            .filter(|event| event.cycle < out.cycles)
+            .filter(|event| event.cycle < out.cycles())
             .collect();
-        out.retired = self.retired.min(out.cycles);
+        out.retired = self.retired.min(out.cycles());
         out
     }
 
@@ -586,8 +555,8 @@ impl TimingDigest {
     ///
     /// ```text
     /// magic "IDCADGST" | version u32 | body_checksum u64 (FNV-1a)
-    /// | cycles u64 | retired u64 | pool_len u32 | runs_len u32 | events_len u32
-    /// | pool entries | run entries | event entries
+    /// | cycles u64 | retired u64 | pool_len u32 | events_len u32
+    /// | pool entries | cycle ids | event entries
     /// ```
     ///
     /// The checksum covers everything after itself (run totals and tables
@@ -595,22 +564,21 @@ impl TimingDigest {
     /// Each pool entry stores the six stage classes (one byte each), the six
     /// excitation coefficient pairs as raw `f64` bit patterns (replay must be
     /// bit-exact, so the float round-trip is by bits, never by text), the
-    /// fetch address and the activity flags; each run entry is a
-    /// `(cycle_id, len)` pair; each event entry (new in v3) is a
-    /// `(cycle u64, kind u8, payload u32)` triple of the asynchronous-event
-    /// stream. [`TimingDigest::from_bytes`] re-validates
-    /// every structural invariant, so a digest loaded from disk is as
-    /// trustworthy as a freshly captured one.
+    /// fetch address and the activity flags; the cycle stream (new in v4)
+    /// is `cycles` `u32` pool ids, one per simulated cycle; each event
+    /// entry (new in v3) is a `(cycle u64, kind u8, payload u32)` triple of
+    /// the asynchronous-event stream. [`TimingDigest::from_bytes`]
+    /// re-validates every structural invariant, so a digest loaded from
+    /// disk is as trustworthy as a freshly captured one.
     #[must_use]
     pub fn to_bytes(&self) -> Vec<u8> {
         let payload_len = self.pool.len() * codec::POOL_ENTRY_BYTES
-            + self.runs.len() * codec::RUN_ENTRY_BYTES
+            + self.ids.len() * codec::ID_BYTES
             + self.events.len() * codec::EVENT_ENTRY_BYTES;
         let mut body = Vec::with_capacity(codec::BODY_HEADER_BYTES + payload_len);
-        body.extend_from_slice(&self.cycles.to_le_bytes());
+        body.extend_from_slice(&self.cycles().to_le_bytes());
         body.extend_from_slice(&self.retired.to_le_bytes());
         body.extend_from_slice(&(self.pool.len() as u32).to_le_bytes());
-        body.extend_from_slice(&(self.runs.len() as u32).to_le_bytes());
         body.extend_from_slice(&(self.events.len() as u32).to_le_bytes());
         for dc in &self.pool {
             for class in dc.classes {
@@ -623,9 +591,8 @@ impl TimingDigest {
             body.extend_from_slice(&dc.fetch_address.to_le_bytes());
             body.push(dc.flags.bits());
         }
-        for run in &self.runs {
-            body.extend_from_slice(&run.cycle_id.to_le_bytes());
-            body.extend_from_slice(&run.len.to_le_bytes());
+        for id in &self.ids {
+            body.extend_from_slice(&id.to_le_bytes());
         }
         for event in &self.events {
             let (kind, payload) = codec::encode_event_kind(event.kind);
@@ -646,9 +613,10 @@ impl TimingDigest {
     ///
     /// Every failure mode of a file from disk — wrong magic, unknown
     /// version, truncation, trailing garbage, a flipped payload bit, classes
-    /// or run ids out of range, run lengths that do not add up to the header
-    /// cycle count — is reported as a [`DigestFormatError`]; no input can
-    /// panic this parser or yield a structurally inconsistent digest.
+    /// or cycle ids out of range, table sizes that overflow — is reported as
+    /// a [`DigestFormatError`]; no input can panic this parser, make it
+    /// allocate more than the input's size implies, or yield a structurally
+    /// inconsistent digest.
     ///
     /// # Errors
     ///
@@ -668,16 +636,23 @@ impl TimingDigest {
         let cycles = r.u64()?;
         let retired = r.u64()?;
         let pool_len = r.u32()? as usize;
-        let runs_len = r.u32()? as usize;
         let events_len = r.u32()? as usize;
         let payload_len = r.remaining().len();
-        let expected = pool_len
-            .checked_mul(codec::POOL_ENTRY_BYTES)
-            .and_then(|p| runs_len.checked_mul(codec::RUN_ENTRY_BYTES).map(|r| p + r))
+        // Every table size comes from the (still unverified) header, so the
+        // expected payload is computed with checked arithmetic and compared
+        // with the bytes actually present before anything is allocated.
+        let expected = usize::try_from(cycles)
+            .ok()
+            .and_then(|c| c.checked_mul(codec::ID_BYTES))
+            .and_then(|ids| {
+                pool_len
+                    .checked_mul(codec::POOL_ENTRY_BYTES)
+                    .and_then(|p| p.checked_add(ids))
+            })
             .and_then(|t| {
                 events_len
                     .checked_mul(codec::EVENT_ENTRY_BYTES)
-                    .map(|e| t + e)
+                    .and_then(|e| t.checked_add(e))
             })
             .ok_or(DigestFormatError::Malformed("table sizes overflow"))?;
         if payload_len < expected {
@@ -721,26 +696,16 @@ impl TimingDigest {
             });
         }
 
-        let mut runs = Vec::with_capacity(runs_len);
-        let mut total: u64 = 0;
-        for _ in 0..runs_len {
-            let cycle_id = r.u32()?;
-            let len = r.u32()?;
-            if cycle_id as usize >= pool_len {
+        // `expected` fits the payload, so `cycles` fits a `usize`.
+        let mut ids = Vec::with_capacity(cycles as usize);
+        for _ in 0..cycles {
+            let id = r.u32()?;
+            if id as usize >= pool_len {
                 return Err(DigestFormatError::Malformed(
-                    "run references missing pool id",
+                    "cycle references missing pool id",
                 ));
             }
-            if len == 0 {
-                return Err(DigestFormatError::Malformed("empty run"));
-            }
-            total += u64::from(len);
-            runs.push(DigestRun { cycle_id, len });
-        }
-        if total != cycles {
-            return Err(DigestFormatError::Malformed(
-                "run lengths disagree with header cycle count",
-            ));
+            ids.push(id);
         }
         if retired > cycles {
             // A pipeline cannot retire more instructions than it ran cycles;
@@ -773,9 +738,8 @@ impl TimingDigest {
 
         Ok(TimingDigest {
             pool,
-            runs,
+            ids,
             events,
-            cycles,
             retired,
         })
     }
@@ -805,8 +769,8 @@ pub enum DigestFormatError {
     /// The payload does not hash to the header checksum (bit rot or a
     /// partial write).
     ChecksumMismatch,
-    /// A structural invariant is violated (out-of-range class, dangling run
-    /// id, inconsistent cycle totals, trailing bytes, ...).
+    /// A structural invariant is violated (out-of-range class, dangling
+    /// cycle id, overflowing table sizes, trailing bytes, ...).
     Malformed(
         /// Which invariant failed.
         &'static str,
@@ -842,21 +806,21 @@ mod codec {
     /// File magic of the digest format.
     pub(super) const MAGIC: &[u8] = b"IDCADGST";
     /// Current format version. v3 added the asynchronous-event table
-    /// (`events_len` in the body header plus event entries after the run
-    /// table); v1/v2 files are rejected with
-    /// [`DigestFormatError::UnsupportedVersion`] rather than silently read
-    /// without their event stream.
-    pub(super) const VERSION: u32 = 3;
+    /// (`events_len` in the body header plus event entries after the cycle
+    /// stream); v4 stores the cycle stream as one pool id per cycle instead
+    /// of `(cycle_id, len)` run pairs and drops `runs_len` from the body
+    /// header. Older files are rejected with
+    /// [`DigestFormatError::UnsupportedVersion`] rather than misread.
+    pub(super) const VERSION: u32 = 4;
     /// Unchecksummed prefix: magic + version + checksum.
     pub(super) const PREFIX_BYTES: usize = 8 + 4 + 8;
-    /// Checksummed body header: cycles + retired + pool_len + runs_len +
-    /// events_len.
-    pub(super) const BODY_HEADER_BYTES: usize = 8 + 8 + 4 + 4 + 4;
+    /// Checksummed body header: cycles + retired + pool_len + events_len.
+    pub(super) const BODY_HEADER_BYTES: usize = 8 + 8 + 4 + 4;
     /// Serialized size of one pool entry: classes + excitation coefficient
     /// pairs + fetch address + flags.
     pub(super) const POOL_ENTRY_BYTES: usize = Stage::COUNT + Stage::COUNT * 16 + 4 + 1;
-    /// Serialized size of one run entry.
-    pub(super) const RUN_ENTRY_BYTES: usize = 8;
+    /// Serialized size of one cycle's pool id.
+    pub(super) const ID_BYTES: usize = 4;
     /// Serialized size of one event entry: cycle + kind + payload.
     pub(super) const EVENT_ENTRY_BYTES: usize = 8 + 1 + 4;
 
@@ -1096,8 +1060,6 @@ pub struct DigestObserver {
     digest: TimingDigest,
     /// Content-hash index over the pool, verified exactly on every hit.
     index: DedupIndex,
-    /// Pool id of the previous cycle (run-length extension check).
-    last_id: Option<u32>,
     hints: Option<Arc<DigestHints>>,
 }
 
@@ -1227,15 +1189,6 @@ impl DigestObserver {
     }
 
     fn push(&mut self, dc: DigestCycle) {
-        self.digest.cycles += 1;
-        if let Some(last) = self.last_id {
-            if same_cycle(&dc, &self.digest.pool[last as usize]) {
-                if let Some(run) = self.digest.runs.last_mut() {
-                    run.len += 1;
-                    return;
-                }
-            }
-        }
         let next_id = self.digest.pool.len() as u32;
         let id = match self.index.find_or_insert(&dc, &self.digest.pool, next_id) {
             Some(id) => id,
@@ -1244,11 +1197,7 @@ impl DigestObserver {
                 next_id
             }
         };
-        self.digest.runs.push(DigestRun {
-            cycle_id: id,
-            len: 1,
-        });
-        self.last_id = Some(id);
+        self.digest.ids.push(id);
     }
 }
 
@@ -1274,7 +1223,7 @@ impl CycleObserver for DigestObserver {
 
     fn finish(&mut self, summary: &RunSummary) {
         self.digest.retired = summary.retired;
-        debug_assert_eq!(self.digest.cycles, summary.cycles);
+        debug_assert_eq!(self.digest.cycles(), summary.cycles);
     }
 
     fn as_hinted_digest(&mut self) -> Option<&mut DigestObserver> {
@@ -1300,21 +1249,22 @@ mod tests {
             .trace
     }
 
+    /// A countdown loop of `iterations` passes (its operand activity
+    /// repeats, so its cycles dedupe).
+    fn countdown(iterations: u32) -> crate::PipelineTrace {
+        trace(&format!(
+            "l.addi r3, r0, {iterations}\nloop: l.addi r3, r3, -1\n l.sfne r3, r0\n l.bf loop\n l.nop 0\n l.nop 1\n"
+        ))
+    }
+
     #[test]
     fn digest_round_trips_the_cycle_stream() {
-        let t = trace(
-            "        l.addi r3, r0, 40
-             loop:   l.addi r3, r3, -1
-                     l.sfne r3, r0
-                     l.bf   loop
-                     l.nop  0
-                     l.nop  1",
-        );
+        let t = countdown(40);
         let digest = TimingDigest::from_trace(&t);
         assert_eq!(digest.cycles(), t.cycle_count());
         assert_eq!(digest.retired(), t.retired());
         // Expansion reproduces, per cycle, exactly the digest of the
-        // original record (RLE + pooling are lossless).
+        // original record (pooling is lossless).
         let mut expanded = Vec::new();
         digest.for_each_cycle(|cycle, dc| expanded.push((cycle, *dc)));
         assert_eq!(expanded.len() as u64, t.cycle_count());
@@ -1327,16 +1277,10 @@ mod tests {
     #[test]
     fn value_stable_loops_compress_below_their_cycle_count() {
         // A loop whose per-iteration operand activity repeats (a countdown
-        // re-excites mostly the same classes) must dedupe below 1:1; the
-        // drain/reset bubbles at both ends also coalesce into runs.
-        let t = trace(
-            "        l.addi r3, r0, 200
-             loop:   l.addi r3, r3, -1
-                     l.sfne r3, r0
-                     l.bf   loop
-                     l.nop  0
-                     l.nop  1",
-        );
+        // re-excites mostly the same classes) must dedupe below 1:1: the
+        // stream keeps one id per cycle, but repeated cycles share a pool
+        // entry.
+        let t = countdown(200);
         let digest = TimingDigest::from_trace(&t);
         assert!(digest.cycles() > 200);
         assert!(
@@ -1348,25 +1292,17 @@ mod tests {
     }
 
     #[test]
-    fn run_block_walk_expands_to_the_cycle_walk() {
-        let t = trace(
-            "        l.addi r3, r0, 60
-             loop:   l.addi r3, r3, -1
-                     l.sfne r3, r0
-                     l.bf   loop
-                     l.nop  0
-                     l.nop  1",
-        );
+    fn run_block_shim_yields_one_cycle_blocks_of_the_cycle_walk() {
+        let t = countdown(60);
         let digest = TimingDigest::from_trace(&t);
         let mut per_cycle = Vec::new();
         digest.for_each_cycle(|cycle, dc| per_cycle.push((cycle, *dc)));
         let mut expanded = Vec::new();
         digest.for_each_run(|start, len, dc| {
-            for offset in 0..u64::from(len) {
-                expanded.push((start + offset, *dc));
-            }
+            assert_eq!(len, 1, "block at cycle {start}");
+            expanded.push((start, *dc));
         });
-        assert!(digest.run_count() as u64 <= digest.cycles());
+        assert_eq!(digest.run_count() as u64, digest.cycles());
         assert_eq!(expanded, per_cycle);
     }
 
@@ -1399,14 +1335,7 @@ mod tests {
 
     #[test]
     fn truncation_keeps_a_prefix_and_compacts_the_pool() {
-        let t = trace(
-            "        l.addi r3, r0, 80
-             loop:   l.addi r3, r3, -1
-                     l.sfne r3, r0
-                     l.bf   loop
-                     l.nop  0
-                     l.nop  1",
-        );
+        let t = countdown(80);
         let digest = TimingDigest::from_trace(&t);
         let keep = digest.cycles() / 3;
         let short = digest.truncated(keep);
@@ -1578,11 +1507,11 @@ mod tests {
 
     #[test]
     fn pre_event_stream_versions_are_rejected() {
-        // v1/v2 digests predate the event table; reading them as v3 would
-        // silently drop the (then-unrepresentable) event stream, so both are
-        // rejected outright.
+        // v1/v2 digests predate the event table and v3 stored the cycle
+        // stream as run pairs; reading any of them as v4 would misparse the
+        // tables, so all are rejected outright.
         let bytes = digest_with_events().to_bytes();
-        for old in [1u8, 2] {
+        for old in [1u8, 2, 3] {
             let mut bad = bytes.clone();
             bad[8] = old;
             assert_eq!(
@@ -1590,6 +1519,39 @@ mod tests {
                 Err(DigestFormatError::UnsupportedVersion(u32::from(old)))
             );
         }
+    }
+
+    #[test]
+    fn v4_sizes_hostile_headers_and_dangling_ids() {
+        let digest = digest_with_events();
+        let bytes = digest.to_bytes();
+        let (pool, cycles) = (digest.unique_cycles(), digest.cycles() as usize);
+        // Prefix + body header + 107 B per pool entry + 4 B per cycle + 13 B
+        // per event.
+        let events = 13 * digest.events().len();
+        assert_eq!(bytes.len(), 20 + 24 + 107 * pool + 4 * cycles + events);
+        // Each case patches the body and re-seals the checksum, so it
+        // reaches the structural checks.
+        let patched = |at: usize, value: &[u8]| {
+            let mut bad = bytes.clone();
+            bad[at..at + value.len()].copy_from_slice(value);
+            let checksum = codec::fnv1a(&bad[codec::PREFIX_BYTES..]);
+            bad[12..20].copy_from_slice(&checksum.to_le_bytes());
+            TimingDigest::from_bytes(&bad)
+        };
+        // A header cycle count whose id table overflows, or is absent, is
+        // rejected before anything is allocated from it.
+        let overflow = Err(DigestFormatError::Malformed("table sizes overflow"));
+        assert_eq!(patched(20, &u64::MAX.to_le_bytes()), overflow);
+        let absent = patched(20, &(1u64 << 40).to_le_bytes());
+        assert!(matches!(absent, Err(DigestFormatError::Truncated { .. })));
+        // The last cycle's id: `pool_len` is one past the pool.
+        let last_id = 44 + 107 * pool + 4 * (cycles - 1);
+        let dangling = Err(DigestFormatError::Malformed(
+            "cycle references missing pool id",
+        ));
+        assert_eq!(patched(last_id, &(pool as u32).to_le_bytes()), dangling);
+        assert!(patched(last_id, &(pool as u32 - 1).to_le_bytes()).is_ok());
     }
 
     #[test]
@@ -1627,7 +1589,7 @@ mod tests {
                 "event cycles not nondecreasing"
             ))
         );
-        let beyond = rebuild(&|d| d.events.last_mut().expect("events").cycle = d.cycles);
+        let beyond = rebuild(&|d| d.events.last_mut().expect("events").cycle = d.cycles());
         assert_eq!(
             TimingDigest::from_bytes(&beyond),
             Err(DigestFormatError::Malformed(

@@ -1,6 +1,7 @@
 //! The corner-batched timing-evaluation kernel.
 //!
-//! A Monte Carlo PVT sweep replays the same [`TimingDigest`] against many
+//! A Monte Carlo PVT sweep replays the same
+//! [`TimingDigest`](idca_pipeline::TimingDigest) against many
 //! corner-varied [`TimingModel`]s. Evaluated corner by corner, each replay
 //! walks the digest separately and repeats the per-cycle work — decode the
 //! pooled cycle, hash the six stage dithers, blend the six excitations —
@@ -21,13 +22,13 @@
 //! once per cycle and broadcast. Every lane performs **exactly** the scalar
 //! arithmetic of [`TimingModel::digest_cycle_timing`] (the parameters are
 //! read from the already-varied models, the operations are in the same
-//! order, and Rust never contracts float expressions), so the batched kernel
-//! is bit-identical to the lane-by-lane path — pinned by the unit tests here
-//! and by the workspace-level banked-replay property tests.
+//! order, and Rust never contracts float expressions), so every lane is
+//! bit-identical to the scalar per-corner evaluation — pinned by the unit
+//! tests here and by the workspace-level banked-replay property tests.
 
-use crate::{stage_excitations, CycleTiming, FaultPlan, Ps, TimingModel};
+use crate::{stage_excitations, FaultPlan, Ps, TimingModel};
 use idca_isa::TimingClass;
-use idca_pipeline::{DigestCycle, Stage, TimingDigest};
+use idca_pipeline::{DigestCycle, Stage};
 
 /// Width of one evaluation lane chunk. The fold loops are written in chunks
 /// of this many `f64`s so the auto-vectorizer maps them onto 256-bit vector
@@ -39,8 +40,8 @@ pub const LANE_WIDTH: usize = 4;
 /// structure-of-arrays layout, ready for batched evaluation.
 ///
 /// Built from the already-varied models with [`CornerBank::from_models`];
-/// evaluated per digested cycle through a [`BankEvaluator`] (which owns the
-/// reusable scratch) or in one sweep with [`CornerBank::replay_digest`].
+/// evaluated per digested cycle through a [`BankEvaluator`], which owns the
+/// reusable lane scratch.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CornerBank {
     corners: usize,
@@ -182,48 +183,23 @@ impl CornerBank {
     }
 
     /// Creates an evaluator bound to this bank, owning the reusable lane
-    /// scratch and [`CycleTiming`] output buffer.
+    /// scratch.
     #[must_use]
     pub fn evaluator(&self) -> BankEvaluator<'_> {
         BankEvaluator {
             bank: self,
             cycle: CycleLanes::new(self.padded),
-            timings: vec![
-                CycleTiming {
-                    stage_delay_ps: [0.0; Stage::COUNT],
-                    max_delay_ps: 0.0,
-                    limiting_stage: Stage::Execute,
-                };
-                self.corners
-            ],
         }
-    }
-
-    /// Replays a whole digest against the bank: one digest walk, with `f`
-    /// invoked once per simulated cycle carrying the per-corner
-    /// [`CycleTiming`]s (index = corner). The per-cycle dithers are
-    /// computed once and broadcast across corners.
-    pub fn replay_digest<F: FnMut(u64, &DigestCycle, &[CycleTiming])>(
-        &self,
-        digest: &TimingDigest,
-        mut f: F,
-    ) {
-        let mut evaluator = self.evaluator();
-        digest.for_each_run(|start, len, dc| {
-            for cycle in start..start + u64::from(len) {
-                f(cycle, dc, evaluator.cycle_timings(cycle, dc));
-            }
-        });
     }
 }
 
 /// One evaluated cycle of a [`CornerBank`] kept in structure-of-arrays
 /// layout: per-stage delay lanes plus the folded per-corner maximum, all
-/// padded to [`CornerBank::padded_lanes`]. This is the raw form the
-/// evaluator computes in anyway — [`BankEvaluator::cycle_lanes`] hands it
-/// out without transposing into per-corner [`CycleTiming`] structs, so
-/// lane-oriented consumers (policy banks, the adaptive bank) fold
-/// contiguous slices instead of striding over an array of structs.
+/// padded to [`CornerBank::padded_lanes`]: the lane form of one
+/// [`CycleTiming`](crate::CycleTiming) per corner, without the
+/// limiting-stage attribution no lane consumer reads. Lane-oriented
+/// consumers (policy banks, the adaptive bank) fold contiguous slices
+/// instead of striding over an array of structs.
 ///
 /// Lane `i` of every slice is corner `i`; padding lanes evaluate inert
 /// zero parameters and hold `0.0`.
@@ -234,8 +210,9 @@ pub struct CycleLanes {
     /// corner `lane`'s delay through that stage this cycle.
     stage_delay_ps: Vec<Ps>,
     /// Per-corner maximum stage delay — the lane form of
-    /// [`CycleTiming::max_delay_ps`], folded in stage order with the same
-    /// strict-`>` reduction as the scalar path.
+    /// [`CycleTiming::max_delay_ps`](crate::CycleTiming::max_delay_ps),
+    /// folded in stage order with the same strict-`>` reduction as the
+    /// scalar path.
     max_delay_ps: Vec<Ps>,
 }
 
@@ -282,9 +259,9 @@ impl CycleLanes {
     /// them once) in place: each stage lane is rescaled by that stage's
     /// factor and the per-corner maximum is re-folded in stage order with
     /// the same strict-`>` reduction, so every lane stays bit-identical to
-    /// perturbing its [`CycleTiming`] individually. Factors of exactly
-    /// `1.0` on every stage (a cycle with no active event) leave the lanes
-    /// untouched.
+    /// perturbing its [`CycleTiming`](crate::CycleTiming) individually.
+    /// Factors of exactly `1.0` on every stage (a cycle with no active
+    /// event) leave the lanes untouched.
     #[inline]
     pub fn apply_fault_factors(&mut self, factors: &[f64; Stage::COUNT]) {
         if factors.iter().all(|&f| f == 1.0) {
@@ -310,9 +287,9 @@ impl CycleLanes {
     /// [`surged`](crate::surged): every stage lane is rescaled by the same
     /// uniform `factor` and the per-corner maximum is re-folded in stage
     /// order with the same strict-`>` reduction, so every lane stays
-    /// bit-identical to surging its [`CycleTiming`] individually (and to the
-    /// live path, which scales the scalar timing the same way). A factor of
-    /// exactly `1.0` leaves the lanes untouched.
+    /// bit-identical to surging its [`CycleTiming`](crate::CycleTiming)
+    /// individually (and to the live path, which scales the scalar timing
+    /// the same way). A factor of exactly `1.0` leaves the lanes untouched.
     #[inline]
     pub fn apply_surge(&mut self, factor: f64) {
         if factor == 1.0 {
@@ -334,14 +311,13 @@ impl CycleLanes {
     }
 }
 
-/// Reusable per-walk state of one [`CornerBank`]: the padded lane scratch
-/// and the per-corner [`CycleTiming`] outputs. Create with
-/// [`CornerBank::evaluator`]; one evaluator serves any number of cycles.
+/// Reusable per-walk state of one [`CornerBank`]: the padded lane scratch.
+/// Create with [`CornerBank::evaluator`]; one evaluator serves any number
+/// of cycles.
 #[derive(Debug, Clone)]
 pub struct BankEvaluator<'b> {
     bank: &'b CornerBank,
     cycle: CycleLanes,
-    timings: Vec<CycleTiming>,
 }
 
 impl BankEvaluator<'_> {
@@ -353,13 +329,13 @@ impl BankEvaluator<'_> {
 
     /// Evaluates one digested cycle against every corner of the bank,
     /// returning the delay lanes in structure-of-arrays form — the hot
-    /// entry point of the corner-batched replay. The lanes carry exactly
-    /// the values [`BankEvaluator::cycle_timings`] would spread over
-    /// [`CycleTiming`] structs (same dither, blend, delay and max-fold
-    /// arithmetic), minus the limiting-stage attribution no lane consumer
-    /// reads. The reference is mutable so a fault plan can perturb the
-    /// lanes in place ([`CycleLanes::apply_fault`]); the next call
-    /// recomputes every lane from scratch.
+    /// entry point of the corner-batched replay. Lane `i` of every stage
+    /// and of the max is bit-identical to
+    /// `models[i].digest_cycle_timing(cycle, dc)` on the model the bank was
+    /// built from (same dither, blend, delay and max-fold arithmetic). The
+    /// reference is mutable so a fault plan can perturb the lanes in place
+    /// ([`CycleLanes::apply_fault`]); the next call recomputes every lane
+    /// from scratch.
     pub fn cycle_lanes(&mut self, cycle: u64, dc: &DigestCycle) -> &mut CycleLanes {
         self.lanes_at(&dc.classes, &stage_excitations(cycle, dc))
     }
@@ -420,35 +396,6 @@ impl BankEvaluator<'_> {
         }
         &mut self.cycle
     }
-
-    /// Evaluates one digested cycle against every corner of the bank,
-    /// returning one [`CycleTiming`] per corner (index = corner). Each
-    /// entry is bit-identical to
-    /// `models[corner].digest_cycle_timing(cycle, dc)` on the model the
-    /// bank was built from: the dither, blend and delay arithmetic is the
-    /// same, only batched — this is the [`BankEvaluator::cycle_lanes`]
-    /// result transposed into per-corner structs, with the limiting stage
-    /// re-attributed by the scalar fold (stage order, strict `>`, so ties
-    /// resolve identically).
-    pub fn cycle_timings(&mut self, cycle: u64, dc: &DigestCycle) -> &[CycleTiming] {
-        self.cycle_lanes(cycle, dc);
-        let padded = self.cycle.padded;
-        for (corner, timing) in self.timings.iter_mut().enumerate() {
-            let mut max_delay = 0.0;
-            let mut limiting = Stage::Execute;
-            for stage in Stage::ALL {
-                let delay = self.cycle.stage_delay_ps[stage.index() * padded + corner];
-                timing.stage_delay_ps[stage.index()] = delay;
-                if delay > max_delay {
-                    max_delay = delay;
-                    limiting = stage;
-                }
-            }
-            timing.max_delay_ps = max_delay;
-            timing.limiting_stage = limiting;
-        }
-        &self.timings
-    }
 }
 
 /// Start of the lane vector of one `(stage, class)` pair.
@@ -461,7 +408,7 @@ mod tests {
     use super::*;
     use crate::{ProfileKind, VariationModel};
     use idca_isa::asm::Assembler;
-    use idca_pipeline::{SimConfig, Simulator};
+    use idca_pipeline::{SimConfig, Simulator, TimingDigest};
 
     fn digest(src: &str) -> TimingDigest {
         let program = Assembler::new().assemble(src).expect("assembles");
@@ -497,6 +444,21 @@ mod tests {
             .collect()
     }
 
+    /// Asserts that one corner's stage lanes and max lane are bit-identical
+    /// to a scalar [`crate::CycleTiming`] (from
+    /// [`TimingModel::digest_cycle_timing`], which shares no code with the
+    /// bank kernel).
+    fn assert_lane_is(lanes: &CycleLanes, corner: usize, scalar: &crate::CycleTiming) {
+        let stages = Stage::ALL.map(|stage| lanes.stage_lanes(stage)[corner].to_bits());
+        assert_eq!(
+            stages,
+            scalar.stage_delay_ps.map(f64::to_bits),
+            "corner {corner}"
+        );
+        let max = lanes.max_lanes()[corner].to_bits();
+        assert_eq!(max, scalar.max_delay_ps.to_bits(), "corner {corner}");
+    }
+
     #[test]
     fn banked_timings_are_bit_identical_to_scalar_replay() {
         let d = mixed_digest();
@@ -505,10 +467,12 @@ mod tests {
             let models = varied_models(corners, 0xBA2C);
             let bank = CornerBank::from_models(&models);
             assert_eq!(bank.corners(), corners as usize);
-            bank.replay_digest(&d, |cycle, dc, timings| {
-                for (model, banked) in models.iter().zip(timings) {
-                    let scalar = model.digest_cycle_timing(cycle, dc);
-                    assert_eq!(scalar, *banked, "corners {corners} cycle {cycle}");
+            let mut evaluator = bank.evaluator();
+            d.for_each_cycle(|cycle, dc| {
+                let lanes = evaluator.cycle_lanes(cycle, dc);
+                assert_eq!(lanes.padded_lanes(), bank.padded_lanes());
+                for (corner, model) in models.iter().enumerate() {
+                    assert_lane_is(lanes, corner, &model.digest_cycle_timing(cycle, dc));
                 }
             });
         }
@@ -532,18 +496,7 @@ mod tests {
                     &plan.faulted(cycle, &model.digest_cycle_timing(cycle, dc)),
                     1.25,
                 );
-                assert_eq!(
-                    lanes.max_lanes()[corner].to_bits(),
-                    scalar.max_delay_ps.to_bits(),
-                    "cycle {cycle} corner {corner}"
-                );
-                for stage in Stage::ALL {
-                    assert_eq!(
-                        lanes.stage_lanes(stage)[corner].to_bits(),
-                        scalar.stage_delay_ps[stage.index()].to_bits(),
-                        "cycle {cycle} corner {corner} stage {stage:?}"
-                    );
-                }
+                assert_lane_is(lanes, corner, &scalar);
             }
         });
     }
@@ -654,9 +607,13 @@ mod tests {
     fn empty_bank_is_inert() {
         let bank = CornerBank::from_models(&[]);
         assert!(bank.is_empty());
+        assert_eq!(bank.padded_lanes(), 0);
+        let mut evaluator = bank.evaluator();
         let mut visited = 0u64;
-        bank.replay_digest(&mixed_digest(), |_, _, timings| {
-            assert!(timings.is_empty());
+        mixed_digest().for_each_cycle(|cycle, dc| {
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            assert!(lanes.max_lanes().is_empty());
+            assert!(Stage::ALL.iter().all(|&s| lanes.stage_lanes(s).is_empty()));
             visited += 1;
         });
         assert!(visited > 0);

@@ -186,17 +186,15 @@ proptest! {
         let mut bank_exec = PolicyBank::new("execute-only", models.len(), &generator);
         let mut adaptive = AdaptiveBank::new(&models, &config, &generator, seed_lut, drift);
         let mut evaluator = bank.evaluator();
-        digest.for_each_run(|start, len, dc| {
-            bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
-            bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
+        digest.for_each_cycle(|cycle, dc| {
+            bank_lut.begin_block(lut_policy.digest_period_ps(cycle, dc));
+            bank_exec.begin_block(exec_policy.digest_period_ps(cycle, dc));
             bank_static.begin_block_per_corner(&static_requests);
-            for cycle in start..start + u64::from(len) {
-                let lanes = &*evaluator.cycle_lanes(cycle, dc);
-                bank_static.observe_actuals(lanes.max_lanes());
-                bank_lut.observe_actuals(lanes.max_lanes());
-                bank_exec.observe_actuals(lanes.max_lanes());
-                adaptive.observe_cycle_lanes(cycle, dc, lanes);
-            }
+            let lanes = &*evaluator.cycle_lanes(cycle, dc);
+            bank_static.observe_actuals(lanes.max_lanes());
+            bank_lut.observe_actuals(lanes.max_lanes());
+            bank_exec.observe_actuals(lanes.max_lanes());
+            adaptive.observe_cycle_lanes(cycle, dc, lanes);
         });
         let summary = digest.summary();
         bank_static.finish(&summary);
@@ -255,15 +253,19 @@ proptest! {
         let digest = digest_of(master_seed);
         let models = varied_models(corners, master_seed);
         let bank = CornerBank::from_models(&models);
-        let mut mismatches = 0u64;
-        bank.replay_digest(&digest, |cycle, dc, timings| {
-            for (model, banked) in models.iter().zip(timings) {
-                if model.digest_cycle_timing(cycle, dc) != *banked {
-                    mismatches += 1;
-                }
+        let mut evaluator = bank.evaluator();
+        // Every stage lane and the max lane, bit for bit, against the
+        // scalar model (which shares no code with the bank kernel).
+        digest.for_each_cycle(|cycle, dc| {
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            for (corner, model) in models.iter().enumerate() {
+                let scalar = model.digest_cycle_timing(cycle, dc);
+                let stages = Stage::ALL.map(|s| lanes.stage_lanes(s)[corner].to_bits());
+                assert_eq!(stages, scalar.stage_delay_ps.map(f64::to_bits), "cycle {cycle}");
+                let max = lanes.max_lanes()[corner].to_bits();
+                assert_eq!(max, scalar.max_delay_ps.to_bits(), "cycle {cycle}");
             }
         });
-        prop_assert_eq!(mismatches, 0);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use idca::core::{
     replay_adaptive_digest, replay_digest, run_adaptive, AdaptiveConfig, AdaptiveObserver, Drift,
 };
-use idca::pipeline::{DigestCycle, DigestObserver, TimingDigest};
+use idca::pipeline::{DigestCycle, DigestObserver, PredecodedProgram, TimingDigest};
 use idca::prelude::*;
 use proptest::prelude::*;
 
@@ -28,7 +28,7 @@ fn digest_and_trace(program: &Program) -> (TimingDigest, PipelineTrace) {
 }
 
 #[test]
-fn rle_round_trip_reproduces_every_cycle() {
+fn id_stream_round_trip_reproduces_every_cycle() {
     let program = generate_program(nth_seed(0xD16E57, 3), &GenConfig::default());
     let (digest, trace) = digest_and_trace(&program);
     assert_eq!(digest.cycles(), trace.cycle_count());
@@ -41,7 +41,7 @@ fn rle_round_trip_reproduces_every_cycle() {
         i += 1;
     });
     assert_eq!(i as u64, trace.cycle_count());
-    // The encoding must actually deduplicate something on a loopy program.
+    // One pool id per cycle; the pool never outgrows the stream.
     assert!(digest.unique_cycles() as u64 <= digest.cycles());
 }
 
@@ -69,6 +69,40 @@ fn dta_replay_is_bit_identical_to_streaming() {
             );
         }
     }
+}
+
+/// Robustness tier: a 2^17-iteration loop (over 10^6 cycles) stresses the
+/// pool-id width, dedup-index growth and digest size. The fused burst
+/// capture must round-trip codec v4 byte-exactly, every id must index the
+/// pool, and replay must equal a live `PolicyObserver`. Ignored by default;
+/// CI runs it in release.
+#[test]
+#[ignore = "long-running: run with --release -- --ignored"]
+fn million_cycle_program_round_trips_and_replays_like_live() {
+    let program = Assembler::new()
+        .assemble(concat!(
+            "l.addi r1, r0, 0x400\n l.movhi r3, 2\n",
+            "loop: l.mul r4, r3, r3\n l.sw 0(r1), r4\n l.lwz r5, 0(r1)\n l.xor r6, r5, r3\n",
+            "l.addi r3, r3, -1\n l.sfne r3, r0\n l.bf loop\n l.nop 0\n l.nop 1\n",
+        ))
+        .expect("assembles");
+    let sim = Simulator::new(SimConfig::default());
+    let mut capture = DigestObserver::with_hints(PredecodedProgram::lower(&program).digest_hints());
+    sim.run_observed(&program, &mut [&mut capture])
+        .expect("runs");
+    let digest = capture.into_digest();
+    assert!(digest.cycles() >= 1_000_000, "{} cycles", digest.cycles());
+    let bytes = digest.to_bytes();
+    let back = TimingDigest::from_bytes(&bytes).expect("v4 round-trips");
+    assert_eq!((back.to_bytes(), &back), (bytes, &digest));
+    digest.for_each_cycle_id(|_, id, _| assert!((id as usize) < digest.pool().len(), "id {id}"));
+
+    let (m, generator) = (model(), ClockGenerator::Ideal);
+    let policy = InstructionBased::from_model(&m);
+    let mut live = PolicyObserver::new(&m, &policy, &generator);
+    sim.run_observed(&program, &mut [&mut live]).expect("runs");
+    let replayed = replay_digest(&m, &digest, &policy, &generator);
+    assert_eq!(replayed, live.into_outcome());
 }
 
 /// Every policy's replayed outcome (including the embedded activity

@@ -231,19 +231,17 @@ proptest! {
             AdaptiveBank::new(&models, &config, &ClockGenerator::Ideal, None, drift)
                 .with_faults(plan);
         let mut evaluator = bank.evaluator();
-        digest.for_each_run(|start, len, dc| {
-            bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
-            bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
+        digest.for_each_cycle(|cycle, dc| {
+            bank_lut.begin_block(lut_policy.digest_period_ps(cycle, dc));
+            bank_exec.begin_block(exec_policy.digest_period_ps(cycle, dc));
             bank_static.begin_block_per_corner(&static_requests);
-            for cycle in start..start + u64::from(len) {
-                let lanes = evaluator.cycle_lanes(cycle, dc);
-                lanes.apply_fault(&plan, cycle);
-                let lanes = &*lanes;
-                bank_static.observe_actuals(lanes.max_lanes());
-                bank_lut.observe_actuals(lanes.max_lanes());
-                bank_exec.observe_actuals(lanes.max_lanes());
-                adaptive.observe_cycle_lanes(cycle, dc, lanes);
-            }
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            lanes.apply_fault(&plan, cycle);
+            let lanes = &*lanes;
+            bank_static.observe_actuals(lanes.max_lanes());
+            bank_lut.observe_actuals(lanes.max_lanes());
+            bank_exec.observe_actuals(lanes.max_lanes());
+            adaptive.observe_cycle_lanes(cycle, dc, lanes);
         });
         let summary = digest.summary();
         bank_static.finish(&summary);

@@ -363,31 +363,29 @@ proptest! {
         }
         let mut evaluator = bank.evaluator();
         let mut cursor = timeline.cursor();
-        digest.for_each_run(|start, len, dc| {
-            bank_lut.begin_block(lut_policy.digest_period_ps(start, dc));
-            bank_exec.begin_block(exec_policy.digest_period_ps(start, dc));
+        digest.for_each_cycle(|cycle, dc| {
+            bank_lut.begin_block(lut_policy.digest_period_ps(cycle, dc));
+            bank_exec.begin_block(exec_policy.digest_period_ps(cycle, dc));
             bank_static.begin_block_per_corner(&static_requests);
-            for cycle in start..start + u64::from(len) {
-                let entry = cursor.phase(cycle) == IrqPhase::Entry;
-                let lanes = evaluator.cycle_lanes(cycle, dc);
-                if let Some(plan) = plan.as_ref() {
-                    lanes.apply_fault(plan, cycle);
-                }
-                if entry {
-                    lanes.apply_surge(surge_factor);
-                }
-                let lanes = &*lanes;
-                if entry {
-                    bank_static.observe_actuals_entry(lanes.max_lanes());
-                    bank_lut.observe_actuals_entry(lanes.max_lanes());
-                    bank_exec.observe_actuals_entry(lanes.max_lanes());
-                } else {
-                    bank_static.observe_actuals(lanes.max_lanes());
-                    bank_lut.observe_actuals(lanes.max_lanes());
-                    bank_exec.observe_actuals(lanes.max_lanes());
-                }
-                adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
+            let entry = cursor.phase(cycle) == IrqPhase::Entry;
+            let lanes = evaluator.cycle_lanes(cycle, dc);
+            if let Some(plan) = plan.as_ref() {
+                lanes.apply_fault(plan, cycle);
             }
+            if entry {
+                lanes.apply_surge(surge_factor);
+            }
+            let lanes = &*lanes;
+            if entry {
+                bank_static.observe_actuals_entry(lanes.max_lanes());
+                bank_lut.observe_actuals_entry(lanes.max_lanes());
+                bank_exec.observe_actuals_entry(lanes.max_lanes());
+            } else {
+                bank_static.observe_actuals(lanes.max_lanes());
+                bank_lut.observe_actuals(lanes.max_lanes());
+                bank_exec.observe_actuals(lanes.max_lanes());
+            }
+            adaptive.observe_cycle_lanes_phased(cycle, dc, lanes, entry);
         });
         let summary = digest.summary();
         bank_static.finish(&summary);
